@@ -17,14 +17,16 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-from .model import TIGHT_TOL, CapacityTerms, ValidationError
+from .model import CapacityTerms, ValidationError, geq
 from .polytope import HalfspaceSystem
 
-_CASE_ORDER = {
-    # required ordering of sigma_bar2 indices, largest first (1-based users)
-    "I": (3, 4, 1, 2),
-    "II": (3, 1, 4, 2),
-    "III": (1, 3, 4, 2),
+_NOISE_ORDERS = {
+    # required sigma_bar2 orderings as chains of 1-based users, largest first:
+    # the partial order of every canonical channel, then each case's order
+    "canonical": ((1, 2), (3, 4, 2)),
+    "I": ((3, 4, 1, 2),),
+    "II": ((3, 1, 4, 2),),
+    "III": ((1, 3, 4, 2),),
 }
 
 
@@ -87,9 +89,9 @@ def downlink_polytope(case, terms: CapacityTerms) -> HalfspaceSystem:
     R >= 0 are omitted.
     """
     case_key = str(getattr(case, "value", case))
-    if case_key not in _CASE_ORDER:
+    if case_key not in ("I", "II", "III"):
         raise ValidationError(f"case must be one of I/II/III, got {case_key!r}")
-    _require_ordering(case_key, terms.sigma_bar2)
+    require_noise_order(terms.sigma_bar2, case_key)
 
     D = terms.D
     if case_key == "I":
@@ -120,13 +122,19 @@ def downlink_polytope(case, terms: CapacityTerms) -> HalfspaceSystem:
     return HalfspaceSystem(rows)
 
 
-def _require_ordering(case_key: str, sigma_bar2: Sequence[float]) -> None:
-    order = _CASE_ORDER[case_key]
-    labels = " >= ".join(f"sigma_bar2[{u}]" for u in order)
-    for hi, lo in zip(order, order[1:]):
-        if not sigma_bar2[hi - 1] >= sigma_bar2[lo - 1] - TIGHT_TOL:
-            raise ValidationError(
-                f"effective noises do not match case {case_key} "
-                f"(need {labels}; sigma_bar2[{hi}]={sigma_bar2[hi - 1]} < "
-                f"sigma_bar2[{lo}]={sigma_bar2[lo - 1]})"
-            )
+def require_noise_order(sigma_bar2: Sequence[float], key: str) -> None:
+    """Raise ValidationError unless the effective noises descend, under
+    `geq`, along every chain of ``_NOISE_ORDERS[key]``."""
+    if key == "canonical":
+        what = "are not canonical; canonicalize first"
+    else:
+        what = f"do not match case {key}"
+    for chain in _NOISE_ORDERS[key]:
+        for hi, lo in zip(chain, chain[1:]):
+            if not geq(sigma_bar2[hi - 1], sigma_bar2[lo - 1]):
+                need = " >= ".join(f"sigma_bar2[{u}]" for u in chain)
+                raise ValidationError(
+                    f"effective noises {what} (need {need}; "
+                    f"sigma_bar2[{hi}]={sigma_bar2[hi - 1]} < "
+                    f"sigma_bar2[{lo}]={sigma_bar2[lo - 1]})"
+                )

@@ -10,7 +10,8 @@ Four subcommands cover the workflow:
 Numbers are printed with 12 significant digits everywhere, infinities as the
 string ``"inf"``; CSV uses '.' decimals, ',' separators, and a mandatory
 header row.  Exit codes: 0 success / all certificates pass, 1 a certificate
-failed, 2 bad input (the message names the offending field).
+failed, 2 bad input (the message names the offending field), 3 an internal
+consistency fault (a closed form broke one of its own guarantees).
 """
 
 from __future__ import annotations
@@ -444,6 +445,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalConsistencyError as exc:
+        print(f"error: internal consistency: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -28,12 +28,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Sequence, Tuple
 
-from .bounds import _require_ordering, downlink_polytope
+from .bounds import downlink_polytope, require_noise_order
 from .model import (
-    CLAMP_TOL,
     GAP_TOL,
     HALF_BIT,
-    TIGHT_TOL,
     CapacityTerms,
     GapCertificate,
     InternalConsistencyError,
@@ -41,6 +39,8 @@ from .model import (
     SystemParams,
     ValidationError,
     capacity_terms,
+    geq,
+    nonneg,
     slack_of,
 )
 from .polytope import contains
@@ -117,14 +117,6 @@ def case_of_label(label: str) -> CaseLabel:
         ) from None
 
 
-def _geq(a: float, b: float) -> bool:
-    # a >= b, with a relative-ish tolerance and without inf - inf traps
-    if a >= b:
-        return True
-    slack = TIGHT_TOL * (max(1.0, abs(b)) if math.isfinite(b) else 1.0)
-    return b - a <= slack
-
-
 def _as_sbar4(sigma_bar2) -> Tuple[float, float, float, float]:
     try:
         vals = tuple(float(v) for v in sigma_bar2)
@@ -145,17 +137,8 @@ def classify_case(sigma_bar2: Sequence[float]) -> CaseLabel:
     ``sbar3 >= sbar4``, ``sbar4 >= sbar2``); ties between the remaining free
     comparisons resolve toward the lower-numbered case.
     """
-    s1, s2, s3, s4 = _as_sbar4(sigma_bar2)
-    for name_hi, hi, name_lo, lo in (
-        ("sigma_bar2[1]", s1, "sigma_bar2[2]", s2),
-        ("sigma_bar2[3]", s3, "sigma_bar2[4]", s4),
-        ("sigma_bar2[4]", s4, "sigma_bar2[2]", s2),
-    ):
-        if not _geq(hi, lo):
-            raise ValidationError(
-                f"effective noises are not canonical: need {name_hi} >= {name_lo}, "
-                f"got {hi} < {lo} (canonicalize first)"
-            )
+    s1, s2, s3, s4 = sbar = _as_sbar4(sigma_bar2)
+    require_noise_order(sbar, "canonical")
     if s4 >= s1:
         return CaseLabel.I
     if s3 >= s1:
@@ -273,7 +256,7 @@ class DownlinkPowerAlloc:
         vals = []
         for name, v in (("pR1", pR1), ("pR2", pR2), ("pR3", pR3), ("pR4", pR4)):
             v = float(v)
-            if math.isnan(v) or math.isinf(v) or v < -CLAMP_TOL:
+            if math.isinf(v) or not geq(v, 0.0):
                 raise ValidationError(f"{name} must be a finite nonnegative power, got {v}")
             vals.append(v if v > 0.0 else 0.0)
         if scheme_id in ("4.1", "4.3") and (vals[2] != 0.0 or vals[3] != 0.0):
@@ -316,22 +299,12 @@ class DownlinkVertex:
     rates: RateTuple
 
 
-def _vertex_component(x: float, label: str) -> float:
-    if abs(x) < CLAMP_TOL:
-        return 0.0
-    if x <= -TIGHT_TOL:
-        raise InternalConsistencyError(
-            f"vertex {label} has component {x} < 0; effective noise ordering violated"
-        )
-    return x
-
-
 def downlink_vertices(case: CaseLabel, terms: CapacityTerms) -> List[DownlinkVertex]:
     """The maximal vertices of one case's deliverable region, in label order.
 
-    Components that are exact zeros up to float dust are clamped; a component
-    below -TIGHT_TOL means the terms do not actually satisfy the case's noise
-    ordering and raises.
+    Negative float dust in a component is clamped to zero (`nonneg`); a
+    component further below zero means the terms do not actually satisfy the
+    case's noise ordering and raises.
     """
     case = CaseLabel(getattr(case, "value", case))
     d1, d2, d3, d4 = terms.D
@@ -358,7 +331,7 @@ def downlink_vertices(case: CaseLabel, terms: CapacityTerms) -> List[DownlinkVer
             ("D3.5", (d2 - d3 + d1, d1, d3 - d1, d3 - d1)),
         )
     return [
-        DownlinkVertex(label, RateTuple(tuple(_vertex_component(x, label) for x in raw)))
+        DownlinkVertex(label, RateTuple([nonneg(x, f"{label} component") for x in raw]))
         for label, raw in table
     ]
 
@@ -375,28 +348,19 @@ def pr4_interval(
 
     The window is ``[max(pmin, 0), min(pmax, psum, *extra_caps)]``; the
     recipes that call this are proven to leave it nonempty, so an empty
-    window (beyond 1e-9 slack) is an internal transcription bug, not a user
+    window (beyond `geq` slack) is an internal transcription bug, not a user
     error.  Returns the midpoint — the point of maximal margin against the
     float-level shrinkage the closed forms can exhibit.
     """
     lo = max(pmin, 0.0)
     hi = min((pmax, psum, *extra_caps))
-    if lo > hi + 1e-9:
+    if not geq(hi, lo):
         raise InternalConsistencyError(
             f"empty fourth-layer power window: lo={lo}, hi={hi} "
             f"(pmin={pmin}, pmax={pmax}, psum={psum}, extra_caps={tuple(extra_caps)})"
         )
     mid = 0.5 * (lo + hi)
     return min(max(mid, 0.0), max(psum, 0.0))
-
-
-def _nonneg(x: float, what: str, scale: float) -> float:
-    """Clamp float dust on a mathematically nonnegative quantity."""
-    if x >= 0.0:
-        return x
-    if x >= -TIGHT_TOL * max(1.0, scale):
-        return 0.0
-    raise InternalConsistencyError(f"{what} = {x} < 0; recipe preconditions violated")
 
 
 def _threshold(s1: float, s3: float) -> float:
@@ -422,7 +386,7 @@ def alloc_for_vertex(
     if case_of_label(label) is not case:
         raise ValidationError(f"vertex {label} does not belong to case {case.value}")
     terms = capacity_terms(params)
-    _require_ordering(case.value, terms.sigma_bar2)
+    require_noise_order(terms.sigma_bar2, case.value)
     s1, s2, s3, s4 = terms.sigma_bar2
     PR = params.PR
 
@@ -433,7 +397,7 @@ def alloc_for_vertex(
     else:
         alloc, tag = _alloc_case3(label, PR, s1, s2, s3, s4)
 
-    if alloc.total > PR * (1.0 + 1e-12) + 1e-9:
+    if not geq(PR, alloc.total):
         raise InternalConsistencyError(
             f"recipe for {label} ({tag}) overspends the budget: "
             f"total={alloc.total} > PR={PR}"
@@ -473,7 +437,7 @@ def _alloc_case2(label, PR, s1, s2, s3, s4):
             pmin = F * (s1 + s4) * (PR + s2) / (2.0 * (PR + s4)) - s2
             pmax = F * (s1 + s4) * 2.0 - s4
             p4 = pr4_interval(pmin, pmax, psum)
-            p3 = _nonneg(psum - p4, "pR3", PR)
+            p3 = nonneg(psum - p4, "pR3", PR)
             return DownlinkPowerAlloc(0.0, PR - s1, p3, p4, "4.2"), "PR>=sbar1"
         if PR >= s4:
             return DownlinkPowerAlloc(0.0, 0.0, PR - s4, s4, "4.2"), "sbar4<=PR<sbar1"
@@ -496,8 +460,8 @@ def _alloc_case2(label, PR, s1, s2, s3, s4):
         if s3 >= 2.0 * s1:
             p4 = s1 * (s3 + 2.0 * s1 - s4) / (s3 + s1)
             psum = s1 * (s3 + 2.0 * s1) / s3
-            p3 = _nonneg(psum - p4, "pR3", PR)
-            p2 = _nonneg(s3 - psum, "pR2", PR)
+            p3 = nonneg(psum - p4, "pR3", PR)
+            p2 = nonneg(s3 - psum, "pR2", PR)
             return DownlinkPowerAlloc(PR - s3, p2, p3, p4, "4.2"), "PR>=sbar3,sbar3>=2sbar1"
         return (
             DownlinkPowerAlloc(PR - s3, 0.0, 0.5 * s3, 0.5 * s3, "4.2"),
@@ -517,79 +481,67 @@ def _alloc_d25(PR, s1, s2, s3, s4):
 
     if s3 >= 3.0 * s1:
         if PR >= s3:
-            # top-power branch: peel layer 1 at full strength, split the
-            # remaining budget s3 across layers 2..4
-            shrink = (s1 / (PR + s1)) * ((PR + s3) / s3)
-            psum = shrink * 2.0 * (s3 + s1) - s1
-            p2 = _nonneg(s3 - psum, "pR2", PR)
-            K = (s4 / (PR + s4)) * ((PR + s1) / s1) * (s3 / (PR + s3))
-            pmin = K * (psum + s4) * (PR + s2) / (2.0 * (s3 + s4)) - s2
-            pmax = K * (psum + s4) * 2.0 * (PR + s1) / (s3 + s1) - s4
-            p4 = pr4_interval(pmin, pmax, psum)
-            p3 = _nonneg(psum - p4, "pR3", PR)
-            return DownlinkPowerAlloc(PR - s3, p2, p3, p4, "4.2"), "sbar3>=3sbar1,PR>=sbar3"
+            return _d25_top(PR, s1, s2, s3, s4), "sbar3>=3sbar1,PR>=sbar3"
         if PR > thr:
             psum = s1 * (2.0 * PR / s3 + 1.0)
-            p2 = _nonneg(PR - psum, "pR2", PR)
+            p2 = nonneg(PR - psum, "pR2", PR)
             q3 = 1.0 if math.isinf(s3) else s3 / (PR + s3)
             G = (2.0 * PR * s1 / s3 + s1 + s4) * (s4 / (PR + s4)) * ((PR + s1) / s1) * q3
             pmin = G * (PR + s2) / (2.0 * (PR + s4)) - s2
             pmax = G * 2.0 - s4
             p4 = pr4_interval(pmin, pmax, psum)
-            p3 = _nonneg(psum - p4, "pR3", PR)
+            p3 = nonneg(psum - p4, "pR3", PR)
             return DownlinkPowerAlloc(0.0, p2, p3, p4, "4.2"), "sbar3>=3sbar1,thr<PR<sbar3"
-        psum = PR
-        u1 = 1.0 if math.isinf(s1) else (PR + s1) / s1
-        q3 = 1.0 if math.isinf(s3) else s3 / (PR + s3)
-        H = s4 * u1 * q3
-        pmin = H * (PR + s2) / (2.0 * (PR + s4)) - s2
-        pmax = H * 2.0 - s4
-        p4 = pr4_interval(pmin, pmax, psum)
-        p3 = _nonneg(psum - p4, "pR3", PR)
-        return DownlinkPowerAlloc(0.0, 0.0, p3, p4, "4.2"), "sbar3>=3sbar1,PR<=thr"
+        return _d25_low(PR, s1, s2, s3, s4), "sbar3>=3sbar1,PR<=thr"
 
     if s3 >= 2.0 * s1:
         if PR >= thr:
-            # same window shape as the top-power branch above, with this
-            # branch's layer sum
-            shrink = (s1 / (PR + s1)) * ((PR + s3) / s3)
-            psum = shrink * 2.0 * (s3 + s1) - s1
-            p2 = _nonneg(s3 - psum, "pR2", PR)
-            K = (s4 / (PR + s4)) * ((PR + s1) / s1) * (s3 / (PR + s3))
-            pmin = K * (psum + s4) * (PR + s2) / (2.0 * (s3 + s4)) - s2
-            pmax = K * (psum + s4) * 2.0 * (PR + s1) / (s3 + s1) - s4
-            p4 = pr4_interval(pmin, pmax, psum)
-            p3 = _nonneg(psum - p4, "pR3", PR)
-            return (
-                DownlinkPowerAlloc(PR - s3, p2, p3, p4, "4.2"),
-                "2sbar1<=sbar3<3sbar1,PR>=thr",
-            )
+            return _d25_top(PR, s1, s2, s3, s4), "2sbar1<=sbar3<3sbar1,PR>=thr"
         if PR > s3:
             psum = 2.0 * s3 * (PR + s1) / (PR + s3) - s1
-            p1 = _nonneg(PR - psum, "pR1", PR)
+            p1 = nonneg(PR - psum, "pR1", PR)
             K = (s4 / (PR + s4)) * ((PR + s1) / s1) * (s3 / (PR + s3))
             pmin = K * (PR + s2) / 2.0 - s2
             pmax = K * ((2.0 + (s4 - s1) / s3) * PR + s1 + s4) - s4
             cap = (PR + 2.0 * s1 - s3) * s3 / (PR + s3)
             _d25_quadratic_check(PR, s1, s2, s3, s4)
             p4 = pr4_interval(pmin, pmax, psum, extra_caps=(cap,))
-            p3 = _nonneg(psum - p4, "pR3", PR)
+            p3 = nonneg(psum - p4, "pR3", PR)
             return (
                 DownlinkPowerAlloc(p1, 0.0, p3, p4, "4.2"),
                 "2sbar1<=sbar3<3sbar1,sbar3<PR<thr",
             )
-        # same window shape as the low-power branch of the previous group
-        psum = PR
-        H = s4 * ((PR + s1) / s1) * (s3 / (PR + s3))
-        pmin = H * (PR + s2) / (2.0 * (PR + s4)) - s2
-        pmax = H * 2.0 - s4
-        p4 = pr4_interval(pmin, pmax, psum)
-        p3 = _nonneg(psum - p4, "pR3", PR)
-        return DownlinkPowerAlloc(0.0, 0.0, p3, p4, "4.2"), "2sbar1<=sbar3<3sbar1,PR<=sbar3"
+        return _d25_low(PR, s1, s2, s3, s4), "2sbar1<=sbar3<3sbar1,PR<=sbar3"
 
     if PR >= s4:
         return DownlinkPowerAlloc(PR - s4, s4, 0.0, 0.0, "4.3"), "sbar3<2sbar1,PR>=sbar4"
     return DownlinkPowerAlloc(0.0, PR, 0.0, 0.0, "4.3"), "sbar3<2sbar1,PR<sbar4"
+
+
+def _d25_top(PR, s1, s2, s3, s4):
+    """D2.5's high-power window: peel layer 1 at full strength and split the
+    remaining budget s3 across layers 2..4."""
+    shrink = (s1 / (PR + s1)) * ((PR + s3) / s3)
+    psum = shrink * 2.0 * (s3 + s1) - s1
+    p2 = nonneg(s3 - psum, "pR2", PR)
+    K = (s4 / (PR + s4)) * ((PR + s1) / s1) * (s3 / (PR + s3))
+    pmin = K * (psum + s4) * (PR + s2) / (2.0 * (s3 + s4)) - s2
+    pmax = K * (psum + s4) * 2.0 * (PR + s1) / (s3 + s1) - s4
+    p4 = pr4_interval(pmin, pmax, psum)
+    p3 = nonneg(psum - p4, "pR3", PR)
+    return DownlinkPowerAlloc(PR - s3, p2, p3, p4, "4.2")
+
+
+def _d25_low(PR, s1, s2, s3, s4):
+    """D2.5's low-power window: the whole budget goes to layers 3 and 4."""
+    u1 = 1.0 if math.isinf(s1) else (PR + s1) / s1
+    q3 = 1.0 if math.isinf(s3) else s3 / (PR + s3)
+    H = s4 * u1 * q3
+    pmin = H * (PR + s2) / (2.0 * (PR + s4)) - s2
+    pmax = H * 2.0 - s4
+    p4 = pr4_interval(pmin, pmax, PR)
+    p3 = nonneg(PR - p4, "pR3", PR)
+    return DownlinkPowerAlloc(0.0, 0.0, p3, p4, "4.2")
 
 
 def _d25_quadratic_check(PR, s1, s2, s3, s4):
@@ -599,11 +551,7 @@ def _d25_quadratic_check(PR, s1, s2, s3, s4):
     b = 4.0 * s1 * s1 - 2.0 * s1 * s3 + s1 * s4 - s2 * s4
     c = 4.0 * s1 * s1 * s4 - 2.0 * s1 * s3 * s4 - s1 * s2 * s4
     f = (a * PR + b) * PR + c
-    scale = max(1.0, abs(a) * PR * PR, abs(b) * PR, abs(c))
-    if f < -TIGHT_TOL * scale:
-        raise InternalConsistencyError(
-            f"feasibility quadratic negative at PR={PR}: f={f} (a={a}, b={b}, c={c})"
-        )
+    nonneg(f, f"feasibility quadratic at PR={PR}", max(abs(a) * PR * PR, abs(b) * PR, abs(c)))
 
 
 def _alloc_case3(label, PR, s1, s2, s3, s4):
@@ -621,17 +569,17 @@ def _alloc_case3(label, PR, s1, s2, s3, s4):
         return DownlinkPowerAlloc(0.0, 0.0, PR, 0.0, "4.4"), "PR<sbar3"
     if label == "D3.4":
         if PR >= s1:
-            p2 = _nonneg(s1 - s4, "pR2", PR)
+            p2 = nonneg(s1 - s4, "pR2", PR)
             return DownlinkPowerAlloc(PR - s1, p2, s4, 0.0, "4.4"), "PR>=sbar1"
-        p3 = _nonneg(PR * (s4 - s2) / (PR + s4), "pR3", PR)
-        p2 = _nonneg(PR - p3, "pR2", PR)
+        p3 = nonneg(PR * (s4 - s2) / (PR + s4), "pR3", PR)
+        p2 = nonneg(PR - p3, "pR2", PR)
         return DownlinkPowerAlloc(0.0, p2, p3, 0.0, "4.4"), "PR<sbar1"
     if label == "D3.5":
         if PR >= s1:
-            p2 = _nonneg(s1 - s3, "pR2", PR)
+            p2 = nonneg(s1 - s3, "pR2", PR)
             return DownlinkPowerAlloc(PR - s1, p2, s3, 0.0, "4.4"), "PR>=sbar1"
-        p3 = _nonneg(PR * (s3 - s2) / (PR + s3), "pR3", PR)
-        p2 = _nonneg(PR - p3, "pR2", PR)
+        p3 = nonneg(PR * (s3 - s2) / (PR + s3), "pR3", PR)
+        p2 = nonneg(PR - p3, "pR2", PR)
         return DownlinkPowerAlloc(0.0, p2, p3, 0.0, "4.4"), "PR<sbar1"
     raise InternalConsistencyError(f"unhandled case-III label {label}")
 

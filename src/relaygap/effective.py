@@ -24,7 +24,13 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from .model import RateTuple, SystemParams, ValidationError
+from .model import (
+    InternalConsistencyError,
+    RateTuple,
+    SystemParams,
+    ValidationError,
+    geq,
+)
 
 Perm = Tuple[int, int, int, int]
 
@@ -73,8 +79,7 @@ def canonicalize(params: SystemParams, rate_order: Tuple[int, int] = (1, 3)) -> 
     Raises
     ------
     ValidationError
-        If the rate order is malformed, or a gain-rescaling step would need
-        to divide by a zero power budget.
+        If the rate order is malformed.
     """
     lead_a, lead_b = rate_order
     if lead_a not in (1, 2):
@@ -99,12 +104,7 @@ def canonicalize(params: SystemParams, rate_order: Tuple[int, int] = (1, 3)) -> 
     for lead, trail in ((0, 1), (2, 3)):
         lead_pow = h[lead] ** 2 * P[lead]
         trail_pow = h[trail] ** 2 * P[trail]
-        if lead_pow < trail_pow:
-            if P[trail] == 0.0:
-                raise ValidationError(
-                    f"P[{trail}] is zero where rescaling by sqrt(P[{lead}]/P[{trail}]) "
-                    f"is required"
-                )
+        if lead_pow < trail_pow:  # so P[trail] > 0
             h[trail] = abs(h[lead]) * math.sqrt(P[lead] / P[trail])
     h = tuple(h)
 
@@ -146,15 +146,15 @@ def _check_degraded(orig: SystemParams, eff: SystemParams, perm: Sequence[int]) 
         u = user - 1
         eff_up = eff.h[slot] ** 2 * eff.P[slot]
         orig_up = orig.h[u] ** 2 * orig.P[u]
-        if eff_up > orig_up * (1 + 1e-12) + 1e-15:
-            raise ValidationError(
+        if not geq(orig_up, eff_up):
+            raise InternalConsistencyError(
                 f"canonicalization increased uplink power of user {user}: "
                 f"{eff_up} > {orig_up}"
             )
-        eff_dn = eff.g[slot] ** 2 / eff.sigma2[slot] if not math.isinf(eff.sigma2[slot]) else 0.0
+        eff_dn = eff.g[slot] ** 2 / eff.sigma2[slot]  # 0.0 for the +inf sentinel
         orig_dn = orig.g[u] ** 2 / orig.sigma2[u]
-        if eff_dn > orig_dn * (1 + 1e-12) + 1e-15:
-            raise ValidationError(
+        if not geq(orig_dn, eff_dn):
+            raise InternalConsistencyError(
                 f"canonicalization improved downlink quality of user {user}: "
                 f"{eff_dn} > {orig_dn}"
             )

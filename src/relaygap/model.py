@@ -18,17 +18,16 @@ from typing import Dict, Iterator, Tuple
 
 # ---------------------------------------------------------------------------
 # Global tolerances.  Every module compares against these; nothing redefines
-# its own epsilon.
+# its own epsilon.  Ordering, tightness, window and dust checks go through
+# `geq` and `nonneg` below rather than reading TIGHT_TOL themselves.
 # ---------------------------------------------------------------------------
 
-#: absolute tolerance for tightness / equality checks
+#: relative tolerance (absolute below magnitude 1) for tightness / equality
 TIGHT_TOL = 1e-9
 #: absolute tolerance added on top of the half-bit budget in gap checks
 GAP_TOL = 1e-7
 #: L-infinity radius below which two vertices are considered duplicates
 DEDUP_TOL = 1e-8
-#: magnitude below which a negative value is treated as floating-point dust
-CLAMP_TOL = 1e-12
 
 HALF_BIT = 0.5
 
@@ -156,13 +155,32 @@ class CapacityTerms:
         return self.Cpair[(i, j)]
 
 
+def geq(a: float, b: float) -> bool:
+    """``a >= b`` within TIGHT_TOL * max(1, |b|), or within TIGHT_TOL when
+    ``b`` is infinite; NaN on either side compares false."""
+    if a >= b:
+        return True
+    return b - a <= TIGHT_TOL * (max(1.0, abs(b)) if math.isfinite(b) else 1.0)
+
+
+def nonneg(x: float, what: str, scale: float = 1.0) -> float:
+    """Clamp float dust on a mathematically nonnegative quantity.
+
+    Returns ``x`` when it is >= 0 and 0 when it is negative by at most
+    TIGHT_TOL * max(1, |scale|), ``scale`` being the magnitude of the
+    operands ``x`` was computed from; anything more negative (or NaN) is a
+    broken closed form and raises InternalConsistencyError.
+    """
+    if x >= 0.0:
+        return x
+    if -x <= TIGHT_TOL * max(1.0, abs(scale)):
+        return 0.0
+    raise InternalConsistencyError(f"{what} = {x} is negative beyond float dust")
+
+
 def _half_log2_1p(x: float) -> float:
-    """0.5 * log2(1 + x) with the tiny-negative guard used throughout."""
-    if x < 0.0:
-        if x > -CLAMP_TOL:
-            x = 0.0
-        else:
-            raise InternalConsistencyError(f"negative SNR argument {x}")
+    """0.5 * log2(1 + x); every SNR passed in is >= 0 by SystemParams'
+    validation, so no dust guard is needed."""
     return 0.5 * math.log2(1.0 + x)
 
 

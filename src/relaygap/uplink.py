@@ -25,10 +25,8 @@ from typing import Dict, List, Sequence, Tuple
 
 from .bounds import uplink_polytope
 from .model import (
-    CLAMP_TOL,
     GAP_TOL,
     HALF_BIT,
-    TIGHT_TOL,
     CapacityTerms,
     GapCertificate,
     InternalConsistencyError,
@@ -36,6 +34,8 @@ from .model import (
     SystemParams,
     ValidationError,
     capacity_terms,
+    geq,
+    nonneg,
     slack_of,
 )
 from .polytope import contains
@@ -101,14 +101,12 @@ def uplink_power_alloc(params: SystemParams) -> UplinkPowerAlloc:
         p30 = h4^2 P4 / 2      p31 = h3^2 P3 - h4^2 P4
     """
     q = [params.h[i] ** 2 * params.P[i] for i in range(4)]
-    if q[0] < q[1] - TIGHT_TOL:
-        raise ValidationError(
-            f"uplink ordering violated: h1^2*P1={q[0]} < h2^2*P2={q[1]} (canonicalize first)"
-        )
-    if q[2] < q[3] - TIGHT_TOL:
-        raise ValidationError(
-            f"uplink ordering violated: h3^2*P3={q[2]} < h4^2*P4={q[3]} (canonicalize first)"
-        )
+    for lead, trail in ((0, 1), (2, 3)):
+        if not geq(q[lead], q[trail]):
+            raise ValidationError(
+                f"uplink ordering violated: h{lead + 1}^2*P{lead + 1}={q[lead]} < "
+                f"h{trail + 1}^2*P{trail + 1}={q[trail]} (canonicalize first)"
+            )
     return UplinkPowerAlloc(
         p10=0.5 * q[1],
         p11=max(0.0, q[0] - q[1]),
@@ -198,19 +196,6 @@ class UplinkVertex:
     split: Tuple[float, float, float, float]
 
 
-def _guarded(values: Sequence[float], what: str) -> Tuple[float, ...]:
-    out = []
-    for k, v in enumerate(values):
-        if v < 0.0:
-            if v <= -CLAMP_TOL:
-                raise InternalConsistencyError(
-                    f"{what}[{k}] = {v} is negative beyond the dust threshold"
-                )
-            v = 0.0
-        out.append(v)
-    return tuple(out)
-
-
 def uplink_vertices(terms: CapacityTerms) -> List[UplinkVertex]:
     """The six corners of the uplink region targeted by the synthesis.
 
@@ -219,7 +204,7 @@ def uplink_vertices(terms: CapacityTerms) -> List[UplinkVertex]:
     """
     C = terms.C
     Cp = terms.Cpair
-    if C[0] < C[1] - TIGHT_TOL or C[2] < C[3] - TIGHT_TOL:
+    if not (geq(C[0], C[1]) and geq(C[2], C[3])):
         raise ValidationError(
             f"uplink terms not canonically ordered: C={C} (canonicalize first)"
         )
@@ -251,11 +236,11 @@ def uplink_vertices(terms: CapacityTerms) -> List[UplinkVertex]:
     out: List[UplinkVertex] = []
     for label in UPLINK_LABELS:
         raw_rates, raw_split = table[label]
-        rates = _guarded(raw_rates, f"{label}.rates")
-        split = _guarded(raw_split, f"{label}.split")
+        rates = tuple(nonneg(v, f"{label}.rates[{k}]") for k, v in enumerate(raw_rates))
+        split = tuple(nonneg(v, f"{label}.split[{k}]") for k, v in enumerate(raw_split))
         composed = (split[0] + split[1], split[0], split[2] + split[3], split[2])
         for a, b in zip(composed, rates):
-            if abs(a - b) > 1e-9:
+            if not (geq(a, b) and geq(b, a)):
                 raise InternalConsistencyError(
                     f"{label}: split composition {composed} != rates {rates}"
                 )

@@ -290,3 +290,15 @@ def test_criterion_10_reports_are_deterministic_and_match_goldens(
     second = capsys.readouterr().out
     assert first == second
     assert first == (GOLDEN / golden_name).read_text()
+
+
+def test_criterion_11_wide_dynamic_range_certifies_without_exceptions():
+    # every magnitude log-uniform over 1e-6..1e6: no channel may be rejected
+    # as non-canonical or fault internally, and every certificate must pass
+    start = time.perf_counter()
+    rng = np.random.default_rng(7)
+    box = (1e-6, 1e6)
+    for trial in range(1000):
+        report = verify_theorem1(random_channel(rng, box, box, box))
+        assert report.passed, f"trial {trial}: a certificate failed"
+    assert time.perf_counter() - start < 60.0

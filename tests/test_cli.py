@@ -7,9 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import relaygap.cli as cli
+from relaygap.certifier import random_channel
 from relaygap.cli import _jnum, _render, main, parse_channel
 from relaygap.model import (
     InternalConsistencyError,
@@ -181,6 +183,19 @@ def test_failed_certificate_exits_one(monkeypatch, capsys):
     assert json.loads(out)["pass"] is False
 
 
+def test_internal_fault_exits_three(monkeypatch, capsys):
+    def broken(params):
+        raise InternalConsistencyError("empty fourth-layer power window")
+
+    monkeypatch.setattr(cli, "verify_theorem1", broken)
+    code, out, err = run_main(capsys, "certify", str(UNIT_CHANNEL))
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "error: internal consistency: empty fourth-layer power window"
+    ]
+
+
 # ---------------------------------------------------------------------------
 # document structure
 # ---------------------------------------------------------------------------
@@ -220,23 +235,33 @@ def test_vertices_documents(capsys):
     assert sorted(doc["perm"]) == [1, 2, 3, 4]
 
 
-def test_certify_json_document(capsys):
-    code, out, _ = run_main(capsys, "certify", str(UNIT_CHANNEL))
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["pass"] is True
-    assert doc["channel"]["PR"] == 1
-    assert [o["rateOrder"] for o in doc["orderings"]] == [
-        [1, 3], [1, 4], [2, 3], [2, 4],
-    ]
-    for ordering in doc["orderings"]:
-        assert len(ordering["uplink"]) == 6
-        for cert in (*ordering["uplink"], *ordering["downlink"]):
-            assert cert["pass"] is True
-            assert len(cert["slack"]) == 4
-    for cert in doc["combined"]:
-        assert cert["link"] == "combined"
-        assert cert["subcase"] == "uplink_hull=in,downlink_hull=in"
+def test_certify_json_document(capsys, tmp_path):
+    # draw 140 of seed 7 over 1e+-3 has two effective noises 2 ULP apart,
+    # which once made the case check reject the case classify_case picked
+    box = (1e-3, 1e3)
+    rng = np.random.default_rng(7)
+    near_tie = [random_channel(rng, box, box, box) for _ in range(141)][140]
+    near_tie_path = tmp_path / "near_tie.json"
+    near_tie_path.write_text(json.dumps(dataclasses.asdict(near_tie)))
+
+    for path in (UNIT_CHANNEL, near_tie_path):
+        params = parse_channel(json.loads(path.read_text()))
+        code, out, _ = run_main(capsys, "certify", str(path))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["pass"] is True
+        assert doc["channel"]["PR"] == pytest.approx(params.PR, rel=1e-11)
+        assert [o["rateOrder"] for o in doc["orderings"]] == [
+            [1, 3], [1, 4], [2, 3], [2, 4],
+        ]
+        for ordering in doc["orderings"]:
+            assert len(ordering["uplink"]) == 6
+            for cert in (*ordering["uplink"], *ordering["downlink"]):
+                assert cert["pass"] is True
+                assert len(cert["slack"]) == 4
+        for cert in doc["combined"]:
+            assert cert["link"] == "combined"
+            assert cert["subcase"] == "uplink_hull=in,downlink_hull=in"
 
 
 def test_certify_csv_layout(capsys):

@@ -8,8 +8,14 @@ import oracles
 from relaygap.bounds import outer_bound
 from relaygap.certifier import ORDERINGS, random_channel
 from relaygap.downlink import DownlinkPowerAlloc, scheme_rates
-from relaygap.effective import EffectiveSystem, canonicalize
-from relaygap.model import RateTuple, SystemParams, ValidationError, capacity_terms
+from relaygap.effective import EffectiveSystem, _check_degraded, canonicalize
+from relaygap.model import (
+    InternalConsistencyError,
+    RateTuple,
+    SystemParams,
+    ValidationError,
+    capacity_terms,
+)
 from relaygap.polytope import HalfspaceSystem, enumerate_vertices, maximal_vertices
 
 from conftest import unit_gain
@@ -215,6 +221,19 @@ def test_no_effective_user_is_better_off():
                     quality_of(eff.params, slot)
                     <= quality_of(params, u) * (1 + 1e-12) + 1e-15
                 )
+
+
+def test_improved_effective_channel_is_an_internal_fault():
+    # canonicalization only ever weakens users, so an effective channel that
+    # beats its original is a bug in the reduction, not bad input
+    params = ordered_params()
+    stronger_uplink = dataclasses.replace(params, h=(3.0, 1.0, 2.0, 1.0))
+    with pytest.raises(InternalConsistencyError, match="uplink power of user 1"):
+        _check_degraded(params, stronger_uplink, (1, 2, 3, 4))
+    quieter_downlink = dataclasses.replace(params, sigma2=(2.0, 1.0, 4.0, 1.0))
+    with pytest.raises(InternalConsistencyError, match="downlink quality of user 4"):
+        _check_degraded(params, quieter_downlink, (1, 2, 3, 4))
+    _check_degraded(params, params, (1, 2, 3, 4))
 
 
 def test_capacity_terms_degrade_componentwise():

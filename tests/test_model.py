@@ -5,14 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from relaygap.certifier import verify_theorem1
 from relaygap.model import (
     PAIR_KEYS,
     CapacityTerms,
     GapCertificate,
+    InternalConsistencyError,
     RateTuple,
     SystemParams,
     ValidationError,
     capacity_terms,
+    geq,
+    nonneg,
     slack_of,
 )
 
@@ -121,6 +125,67 @@ def test_pair_term_dominates_both_singles(params):
     for (i, j) in PAIR_KEYS:
         assert terms.pair(i, j) >= terms.C[i - 1] - 1e-12
         assert terms.pair(i, j) >= terms.C[j - 1] - 1e-12
+
+
+#: magnitudes 10**e for e in [-9, 9]
+wide = st.floats(min_value=-9.0, max_value=9.0).map(lambda e: 10.0 ** e)
+
+#: ((edit, field), user i): a tie copies user i's entry onto its in-pair
+#: partner; a zero or an infinite noise replaces user i's entry
+channel_edit = st.tuples(
+    st.sampled_from((
+        ("tie", "h"), ("tie", "g"), ("tie", "P"), ("tie", "sigma2"),
+        ("zero", "h"), ("zero", "g"), ("zero", "P"), ("zero", "PR"),
+        ("inf", "sigma2"),
+    )),
+    st.integers(min_value=0, max_value=3),
+)
+
+
+@st.composite
+def wide_channel(draw):
+    fields = {name: [draw(wide) for _ in range(4)] for name in ("h", "g", "P", "sigma2")}
+    PR = draw(wide)
+    for (edit, name), i in draw(st.lists(channel_edit, max_size=4)):
+        if name == "PR":
+            PR = 0.0
+        elif edit == "tie":
+            fields[name][i ^ 1] = fields[name][i]
+        else:
+            fields[name][i] = 0.0 if edit == "zero" else math.inf
+    return SystemParams(sigmaR2=draw(wide), PR=PR, **fields)
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=wide_channel())
+def test_theorem_certifies_wide_range_channels_with_ties_and_zeros(params):
+    # no tolerance disagreement between modules may turn a valid channel into
+    # an exception, and the half-bit guarantee holds at every magnitude
+    assert verify_theorem1(params).passed
+
+
+def test_geq_is_relative_above_one_and_absolute_below():
+    assert geq(1e8 - 0.05, 1e8)          # 5e-10 relative
+    assert not geq(1e8 - 0.5, 1e8)       # 5e-9 relative
+    assert geq(0.5 - 5e-10, 0.5)
+    assert not geq(0.5 - 5e-9, 0.5)
+    assert geq(math.inf, math.inf)
+    assert not geq(1e300, math.inf)
+    assert geq(math.inf, 1.0)
+    assert not geq(float("nan"), 1.0)
+    assert not geq(1.0, float("nan"))
+
+
+def test_nonneg_clamps_dust_relative_to_the_operand_scale():
+    assert nonneg(2.5, "x") == 2.5
+    assert nonneg(-5e-10, "x") == 0.0
+    assert nonneg(-0.5, "x", scale=1e9) == 0.0
+    with pytest.raises(InternalConsistencyError, match="x = -5e-09"):
+        nonneg(-5e-9, "x")
+    with pytest.raises(InternalConsistencyError):
+        nonneg(-5.0, "x", scale=1e9)
+    with pytest.raises(InternalConsistencyError):
+        nonneg(float("nan"), "x")
 
 
 def test_zero_downlink_gain_gives_infinite_effective_noise():

@@ -17,14 +17,16 @@ Three layers of machinery live here:
 * `monte_carlo` / `random_channel` / `targeted_channels` — a seeded,
   reproducible channel ensemble driver with subcase-coverage accounting, plus
   hand-picked channels that force every closed-form recipe branch to fire.
-* `brute_force_gap` — an independent grid-search oracle.  Per vertex it
-  reports the closed-form slack, a re-evaluation of the designated
-  construction through this module's own rate code (catches evaluation
-  drift), and the free grid optimum over all 24 relay decoding orders
-  (uplink) or every admissible broadcast scheme (downlink).  The free
+* `brute_force_gap` — a grid-search oracle.  Per vertex it reports the
+  closed-form slack and the free grid optimum over all 24 relay decoding
+  orders (uplink) or every admissible broadcast scheme (downlink), evaluated
+  on whole power grids by the same elementwise rate kernels the
+  certificates use (`uplink.sic_rates`, `downlink.scheme_map`).  The free
   optimum can sit well below the closed form — the designated constructions
   trade per-vertex optimality for uniform half-bit guarantees — but seeding
-  the recipe point guarantees it never sits above.
+  the recipe point guarantees it never sits above.  The independent
+  re-evaluation of each designated construction lives with the test suite's
+  high-precision references, not here.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bounds import outer_bound, downlink_polytope, uplink_polytope
+from .bounds import outer_bound
 from .downlink import (
     CASE_SCHEMES,
     CaseLabel,
@@ -45,10 +47,10 @@ from .downlink import (
     classify_case,
     downlink_certificate,
     downlink_vertices,
+    scheme_map,
 )
-from .effective import EffectiveSystem, canonicalize
+from .effective import canonicalize
 from .model import (
-    GAP_TOL,
     HALF_BIT,
     TIGHT_TOL,
     CapacityTerms,
@@ -60,13 +62,7 @@ from .model import (
     slack_of,
 )
 from .polytope import enumerate_vertices, in_downward_hull, maximal_vertices
-from .uplink import (
-    Step,
-    decoding_order,
-    uplink_certificate,
-    uplink_power_alloc,
-    uplink_vertices,
-)
+from .uplink import Step, sic_rates, uplink_certificate, uplink_power_alloc, uplink_vertices
 
 #: the four in-pair leader choices a full certification sweeps
 ORDERINGS: Tuple[Tuple[int, int], ...] = ((1, 3), (1, 4), (2, 3), (2, 4))
@@ -396,44 +392,45 @@ def targeted_channels() -> List[SystemParams]:
 
 @dataclass(frozen=True)
 class OracleRow:
-    """Independent grid evaluation versus closed-form slack for one link vertex.
+    """Grid optimum versus closed-form slack for one link vertex.
 
-    ``recipe_slack`` is the closed-form certificate slack.  ``oracle_slack``
-    re-evaluates the vertex's designated construction (same decoding order or
-    scheme, same power allocation) through this module's vectorized rate code,
-    so any drift between the closed forms and an independent evaluation shows
-    up as a recipe/oracle mismatch.  ``free_slack`` is the grid optimum over
-    every decoding order (uplink) or every scheme the case admits (downlink)
-    with powers swept over the full feasible set; the designated construction
-    is deliberately suboptimal for some vertices, so ``free_slack`` may sit
-    well below ``recipe_slack`` but never above it (the recipe point is seeded
-    into the grid).
+    ``recipe_slack`` is the closed-form certificate slack.  ``free_slack`` is
+    the grid optimum over every decoding order (uplink) or every scheme the
+    case admits (downlink) with powers swept over the full feasible set, and
+    ``oracle_achieved`` the rate tuple attaining it.  The designated
+    construction is deliberately suboptimal for some vertices, so
+    ``free_slack`` may sit well below ``recipe_slack`` but never above it (the
+    recipe point is seeded into the grid).
     """
 
     link: str
     vertex_label: str
     recipe_slack: float
-    oracle_slack: float
     free_slack: float
     oracle_achieved: RateTuple
 
 
 @dataclass(frozen=True)
 class BruteForceReport:
+    """`brute_force_gap`'s result: one `OracleRow` per canonical-frame link
+    vertex, uplink rows first, each link's rows sorted by label."""
+
     grid_steps: int
     rows: Tuple[OracleRow, ...]
 
 
-def _np_gaussian(p: np.ndarray, interference: np.ndarray, sigma2: float) -> np.ndarray:
-    return 0.5 * np.log2(1.0 + p / (interference + sigma2))
-
-
-def _np_lattice(p: np.ndarray, interference: np.ndarray, sigma2: float) -> np.ndarray:
-    return 0.5 * np.maximum(0.0, np.log2(0.5 + p / (interference + sigma2)))
-
-
-def _np_layer(p: np.ndarray, interference: np.ndarray, sbar2: float) -> np.ndarray:
-    return 0.5 * np.log2(1.0 + p / (interference + sbar2))
+def _keep_best(
+    best: Dict[str, Tuple[float, RateTuple]], vertices: Sequence, R: np.ndarray
+) -> None:
+    """Fold one (4, N) grid of achieved rates into ``best``: per vertex label,
+    the lowest max-component slack seen so far and the rate tuple attaining it."""
+    for vertex in vertices:
+        V = np.array(list(vertex.rates), dtype=float)
+        slack = (V[:, None] - R).max(axis=0)
+        idx = int(slack.argmin())
+        value = float(slack[idx])
+        if vertex.label not in best or value < best[vertex.label][0]:
+            best[vertex.label] = (value, RateTuple(tuple(float(c) for c in R[:, idx])))
 
 
 def _uplink_oracle(params: SystemParams, terms: CapacityTerms, n: int) -> Dict[str, Tuple[float, RateTuple]]:
@@ -459,48 +456,17 @@ def _uplink_oracle(params: SystemParams, terms: CapacityTerms, n: int) -> Dict[s
     p30 = np.append(p30, seed.p30)
     p31 = np.append(p31, seed.p31)
 
-    weight = {
-        Step.G1: p11,
-        Step.G3: p31,
-        Step.LA: 2.0 * p10,
-        Step.LB: 2.0 * p30,
-    }
     vertices = uplink_vertices(terms)
     best: Dict[str, Tuple[float, RateTuple]] = {}
-    sigmaR2 = params.sigmaR2
-
-    for order in itertools.permutations((Step.G1, Step.G3, Step.LA, Step.LB)):
-        rates = {}
-        for k, step in enumerate(order):
-            pending = order[k + 1 :]
-            interference = sum((weight[s] for s in pending), np.zeros_like(p10))
-            if step is Step.G1:
-                rates["r11"] = _np_gaussian(p11, interference, sigmaR2)
-            elif step is Step.G3:
-                rates["r31"] = _np_gaussian(p31, interference, sigmaR2)
-            elif step is Step.LA:
-                rates["r10"] = _np_lattice(p10, interference, sigmaR2)
-            else:
-                rates["r30"] = _np_lattice(p30, interference, sigmaR2)
-        R = np.stack(
-            [
-                rates["r10"] + rates["r11"],
-                rates["r10"],
-                rates["r30"] + rates["r31"],
-                rates["r30"],
-            ]
-        )
-        for vertex in vertices:
-            V = np.array(list(vertex.rates), dtype=float)
-            slack = (V[:, None] - R).max(axis=0)
-            idx = int(slack.argmin())
-            value = float(slack[idx])
-            if vertex.label not in best or value < best[vertex.label][0]:
-                best[vertex.label] = (value, RateTuple(tuple(float(c) for c in R[:, idx])))
+    orders = itertools.permutations((Step.G1, Step.G3, Step.LA, Step.LB))
+    for r10, r11, r30, r31 in sic_rates(p10, p11, p30, p31, orders, params.sigmaR2):
+        _keep_best(best, vertices, np.stack([r10 + r11, r10, r30 + r31, r30]))
     return best
 
 
-def _downlink_grids(case: CaseLabel, params: SystemParams, n: int) -> Dict[str, List[np.ndarray]]:
+def _downlink_grids(
+    case: CaseLabel, params: SystemParams, labels: Sequence[str], n: int
+) -> Dict[str, List[np.ndarray]]:
     """Nested simplex grids (plus recipe seed points) per admissible scheme."""
     PR = params.PR
     t = np.linspace(0.0, 1.0, n)
@@ -529,7 +495,7 @@ def _downlink_grids(case: CaseLabel, params: SystemParams, n: int) -> Dict[str, 
             p4 = np.zeros_like(p1)
         grids[scheme] = [p1, p2, p3, p4]
 
-    for label in [v.label for v in downlink_vertices(case, capacity_terms(params))]:
+    for label in labels:
         alloc, _ = alloc_for_vertex(case, label, params)
         if alloc.scheme_id in grids:
             pools = grids[alloc.scheme_id]
@@ -538,167 +504,54 @@ def _downlink_grids(case: CaseLabel, params: SystemParams, n: int) -> Dict[str, 
     return grids
 
 
-def _downlink_scheme_rates(
-    scheme: str, p: Sequence[np.ndarray], sbar: Tuple[float, float, float, float]
-) -> np.ndarray:
-    s1, s2, s3, s4 = sbar
-    p1, p2, p3, p4 = p
-    if scheme == "4.1":
-        rows = [
-            _np_layer(p2, 0.0 * p1, s2),
-            _np_layer(p2, 0.0 * p1, s1),
-            _np_layer(p1, p2, s4),
-            _np_layer(p1, p2, s3),
-        ]
-    elif scheme == "4.2":
-        rows = [
-            _np_layer(p4, 0.0 * p1, s2) + _np_layer(p2, p3 + p4, s4),
-            _np_layer(p2, p3 + p4, s1),
-            _np_layer(p1, p2 + p3 + p4, s1) + _np_layer(p3, p4, s4),
-            np.minimum(_np_layer(p1, p2 + p4, s3), _np_layer(p1, p2 + p3 + p4, s1)),
-        ]
-    elif scheme == "4.3":
-        rows = [
-            _np_layer(p2, 0.0 * p1, s2),
-            _np_layer(p2, p1, s1),
-            _np_layer(p1, p2, s4),
-            _np_layer(p1, p2, s3),
-        ]
-    else:
-        rows = [
-            _np_layer(p3, 0.0 * p1, s2) + _np_layer(p1, p2 + p3, s3),
-            np.minimum(_np_layer(p1, p2, s1), _np_layer(p1, p2 + p3, s3)),
-            _np_layer(p2, p3, s4),
-            _np_layer(p2, p3, s3),
-        ]
-    return np.stack(rows)
-
-
 def _downlink_oracle(
     params: SystemParams, terms: CapacityTerms, n: int
-) -> Tuple[CaseLabel, Dict[str, Tuple[float, RateTuple]]]:
+) -> Dict[str, Tuple[float, RateTuple]]:
+    """Best grid slack per downlink vertex over every scheme the case admits."""
     case = classify_case(terms.sigma_bar2)
-    grids = _downlink_grids(case, params, n)
     vertices = downlink_vertices(case, terms)
     best: Dict[str, Tuple[float, RateTuple]] = {}
+    grids = _downlink_grids(case, params, [v.label for v in vertices], n)
     for scheme, pools in grids.items():
-        R = _downlink_scheme_rates(scheme, pools, terms.sigma_bar2)
-        for vertex in vertices:
-            V = np.array(list(vertex.rates), dtype=float)
-            slack = (V[:, None] - R).max(axis=0)
-            idx = int(slack.argmin())
-            value = float(slack[idx])
-            if vertex.label not in best or value < best[vertex.label][0]:
-                best[vertex.label] = (value, RateTuple(tuple(float(c) for c in R[:, idx])))
-    return case, best
-
-
-def _uplink_designated(params: SystemParams, terms: CapacityTerms) -> Dict[str, float]:
-    """Re-evaluate each uplink vertex's designated order at the closed-form powers."""
-    alloc = uplink_power_alloc(params)
-    weight = {
-        Step.G1: alloc.p11,
-        Step.G3: alloc.p31,
-        Step.LA: 2.0 * alloc.p10,
-        Step.LB: 2.0 * alloc.p30,
-    }
-    power = {
-        Step.G1: alloc.p11,
-        Step.G3: alloc.p31,
-        Step.LA: alloc.p10,
-        Step.LB: alloc.p30,
-    }
-    out: Dict[str, float] = {}
-    for vertex in uplink_vertices(terms):
-        order = decoding_order(vertex.label)
-        rates: Dict[Step, float] = {}
-        for k, step in enumerate(order):
-            interference = np.array([sum(weight[s] for s in order[k + 1 :])])
-            if step in (Step.G1, Step.G3):
-                rate = _np_gaussian(np.array([power[step]]), interference, params.sigmaR2)
-            else:
-                rate = _np_lattice(np.array([power[step]]), interference, params.sigmaR2)
-            rates[step] = float(rate[0])
-        R = np.array(
-            [
-                rates[Step.LA] + rates[Step.G1],
-                rates[Step.LA],
-                rates[Step.LB] + rates[Step.G3],
-                rates[Step.LB],
-            ]
-        )
-        V = np.array(list(vertex.rates), dtype=float)
-        out[vertex.label] = float((V - R).max())
-    return out
-
-
-def _downlink_designated(
-    case: CaseLabel, params: SystemParams, terms: CapacityTerms
-) -> Dict[str, float]:
-    """Re-evaluate each downlink vertex's designated scheme at the closed-form powers."""
-    out: Dict[str, float] = {}
-    for vertex in downlink_vertices(case, terms):
-        alloc, _ = alloc_for_vertex(case, vertex.label, params)
-        pools = [np.array([v]) for v in (alloc.pR1, alloc.pR2, alloc.pR3, alloc.pR4)]
-        R = _downlink_scheme_rates(alloc.scheme_id, pools, terms.sigma_bar2)
-        V = np.array(list(vertex.rates), dtype=float)
-        out[vertex.label] = float((V - R[:, 0]).max())
-    return out
+        _keep_best(best, vertices, np.stack(scheme_map(scheme, pools, terms.sigma_bar2)))
+    return best
 
 
 def brute_force_gap(params: SystemParams, grid_steps: int = 21) -> BruteForceReport:
     """Grid-search both links and report per-vertex slack comparisons.
 
     The channel is canonicalized first (leaders 1 and 3); all labels refer to
-    the canonical frame.  Each row carries three slacks: the closed-form
-    recipe slack, an independent re-evaluation of the same designated
-    construction (``oracle_slack``, which must reproduce the closed form to
-    within grid tolerance), and the free grid optimum over all 24 relay
-    decoding orders or all admissible schemes (``free_slack``).  Closed-form
-    allocations are seeded into the free grids, so neither oracle number can
+    the canonical frame.  Each row carries the closed-form recipe slack and
+    the free grid optimum over all 24 relay decoding orders or all admissible
+    schemes (``free_slack``).  The grids run through the same rate kernels
+    (`uplink.sic_rates`, `downlink.scheme_map`) as the certificates, and the
+    closed-form allocations are seeded into them, so ``free_slack`` cannot
     sit above ``recipe_slack`` by more than float dust.
     """
     if not isinstance(grid_steps, int) or isinstance(grid_steps, bool) or grid_steps < 2:
         raise ValidationError(f"grid_steps must be an integer >= 2, got {grid_steps!r}")
 
-    eff = canonicalize(params)
-    p = eff.params
+    p = canonicalize(params).params
     terms = capacity_terms(p)
-    case = classify_case(terms.sigma_bar2)
-
-    recipe: Dict[str, float] = {}
-    for cert in uplink_certificate(p):
-        recipe[cert.vertex_label] = max(cert.slack)
-    for cert in downlink_certificate(p):
-        recipe[cert.vertex_label] = max(cert.slack)
+    recipe = {
+        cert.vertex_label: max(cert.slack)
+        for cert in (*uplink_certificate(p), *downlink_certificate(p))
+    }
 
     rows: List[OracleRow] = []
-    up_free = _uplink_oracle(p, terms, grid_steps)
-    up_designated = _uplink_designated(p, terms)
-    for label in sorted(up_free):
-        free_value, achieved = up_free[label]
-        rows.append(
-            OracleRow(
-                link="uplink",
-                vertex_label=label,
-                recipe_slack=recipe[label],
-                oracle_slack=up_designated[label],
-                free_slack=free_value,
-                oracle_achieved=achieved,
+    for link, free in (
+        ("uplink", _uplink_oracle(p, terms, grid_steps)),
+        ("downlink", _downlink_oracle(p, terms, grid_steps)),
+    ):
+        for label in sorted(free):
+            free_value, achieved = free[label]
+            rows.append(
+                OracleRow(
+                    link=link,
+                    vertex_label=label,
+                    recipe_slack=recipe[label],
+                    free_slack=free_value,
+                    oracle_achieved=achieved,
+                )
             )
-        )
-    _, dn_free = _downlink_oracle(p, terms, grid_steps)
-    dn_designated = _downlink_designated(case, p, terms)
-    for label in sorted(dn_free):
-        free_value, achieved = dn_free[label]
-        rows.append(
-            OracleRow(
-                link="downlink",
-                vertex_label=label,
-                recipe_slack=recipe[label],
-                oracle_slack=dn_designated[label],
-                free_slack=free_value,
-                oracle_achieved=achieved,
-            )
-        )
     return BruteForceReport(grid_steps=grid_steps, rows=tuple(rows))

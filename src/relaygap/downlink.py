@@ -39,6 +39,7 @@ from .model import (
     SystemParams,
     ValidationError,
     capacity_terms,
+    gaussian_layer,
     geq,
     nonneg,
     slack_of,
@@ -151,88 +152,47 @@ def classify_case(sigma_bar2: Sequence[float]) -> CaseLabel:
 # ---------------------------------------------------------------------------
 
 
-def _layer(p: float, interference: float, sbar2: float) -> float:
-    """Rate of one broadcast layer: 0.5*log2(1 + p / (interference + sbar2)).
+def scheme_map(scheme_id: str, p: Sequence, sigma_bar2: Sequence[float]):
+    """The four user rates of one broadcast scheme at layer powers
+    ``p = (pR1, pR2, pR3, pR4)``, elementwise over floats or numpy arrays;
+    inputs are not validated here (`scheme_rates` is the checked entry).
 
-    ``sbar2`` may be +inf (a user the relay cannot reach), in which case the
-    layer contributes zero rate.
+    * "4.1" (case I): the pair-B codeword (pR1) is decoded first everywhere,
+      the pair-A codeword (pR2) rides underneath.
+    * "4.2" (case II): layer 1 carries the pair-B common part, layer 2 the
+      pair-A common part, layers 3 and 4 the split-out private remainders of
+      users 3 and 1.  User 4's rate is capped by the worse of its own channel
+      and user 2's (the common part must survive both).
+    * "4.3" (case II): the "4.1" layout, but user 1 decodes its layer
+      directly through the pair-B codeword's interference.
+    * "4.4" (case III): layer 1 carries the pair-A common part, layer 2 the
+      pair-B common part, layer 3 user 1's split-out private remainder.
+      User 2's rate is capped by the worse of its own channel and the pair-B
+      users' (who must strip layer 1 before reaching their own).
+
+    An effective noise of +inf (a user the relay cannot reach) gives that
+    user's layers zero rate.
     """
-    return 0.5 * math.log2(1.0 + p / (interference + sbar2))
-
-
-def _check_powers(**named: float) -> None:
-    for name, value in named.items():
-        if math.isnan(value) or math.isinf(value) or value < 0.0:
-            raise ValidationError(f"{name} must be a finite nonnegative power, got {value}")
-
-
-def rates_case1(pR1: float, pR2: float, sigma_bar2: Sequence[float]) -> RateTuple:
-    """Two-codeword rates under the case-I ordering: the pair-B codeword
-    (power pR1) is decoded first everywhere, the pair-A codeword (pR2) rides
-    underneath."""
-    _check_powers(pR1=pR1, pR2=pR2)
-    s1, s2, s3, s4 = _as_sbar4(sigma_bar2)
-    return RateTuple(
-        (
-            _layer(pR2, 0.0, s2),
-            _layer(pR2, 0.0, s1),
-            _layer(pR1, pR2, s4),
-            _layer(pR1, pR2, s3),
+    s1, s2, s3, s4 = sigma_bar2
+    pR1, pR2, pR3, pR4 = p
+    layer = gaussian_layer
+    if scheme_id == "4.1":
+        return (layer(pR2, 0.0, s2), layer(pR2, 0.0, s1), layer(pR1, pR2, s4), layer(pR1, pR2, s3))
+    if scheme_id == "4.2":
+        return (
+            layer(pR4, 0.0, s2) + layer(pR2, pR3 + pR4, s4),
+            layer(pR2, pR3 + pR4, s1),
+            layer(pR1, pR2 + pR3 + pR4, s1) + layer(pR3, pR4, s4),
+            layer(pR1, pR2 + pR4, s3, cap=layer(pR1, pR2 + pR3 + pR4, s1)),
         )
+    if scheme_id == "4.3":
+        return (layer(pR2, 0.0, s2), layer(pR2, pR1, s1), layer(pR1, pR2, s4), layer(pR1, pR2, s3))
+    return (
+        layer(pR3, 0.0, s2) + layer(pR1, pR2 + pR3, s3),
+        layer(pR1, pR2, s1, cap=layer(pR1, pR2 + pR3, s3)),
+        layer(pR2, pR3, s4),
+        layer(pR2, pR3, s3),
     )
-
-
-def rates_case2_s1(
-    pR1: float, pR2: float, pR3: float, pR4: float, sigma_bar2: Sequence[float]
-) -> RateTuple:
-    """Four-codeword rates under the case-II ordering (scheme "4.2").
-
-    Layer 1 carries the pair-B common part, layer 2 the pair-A common part,
-    layers 3 and 4 the split-out private remainders of users 3 and 1.  User
-    4's rate is limited by the worse of its own channel and user 2's (the
-    common part must survive both), hence the min.
-    """
-    _check_powers(pR1=pR1, pR2=pR2, pR3=pR3, pR4=pR4)
-    s1, s2, s3, s4 = _as_sbar4(sigma_bar2)
-    r1 = _layer(pR4, 0.0, s2) + _layer(pR2, pR3 + pR4, s4)
-    r2 = _layer(pR2, pR3 + pR4, s1)
-    r3 = _layer(pR1, pR2 + pR3 + pR4, s1) + _layer(pR3, pR4, s4)
-    r4 = min(_layer(pR1, pR2 + pR4, s3), _layer(pR1, pR2 + pR3 + pR4, s1))
-    return RateTuple((r1, r2, r3, r4))
-
-
-def rates_case2_s2(pR1: float, pR2: float, sigma_bar2: Sequence[float]) -> RateTuple:
-    """Two-codeword rates under the case-II ordering (scheme "4.3"): user 1
-    decodes its layer directly through the pair-B codeword's interference."""
-    _check_powers(pR1=pR1, pR2=pR2)
-    s1, s2, s3, s4 = _as_sbar4(sigma_bar2)
-    return RateTuple(
-        (
-            _layer(pR2, 0.0, s2),
-            _layer(pR2, pR1, s1),
-            _layer(pR1, pR2, s4),
-            _layer(pR1, pR2, s3),
-        )
-    )
-
-
-def rates_case3(
-    pR1: float, pR2: float, pR3: float, sigma_bar2: Sequence[float]
-) -> RateTuple:
-    """Three-codeword rates under the case-III ordering (scheme "4.4").
-
-    Layer 1 carries the pair-A common part, layer 2 the pair-B common part,
-    layer 3 user 1's split-out private remainder.  User 2's rate is capped by
-    the worse of its own channel and the pair-B users' (who must strip layer
-    1 before reaching their own), hence the min.
-    """
-    _check_powers(pR1=pR1, pR2=pR2, pR3=pR3)
-    s1, s2, s3, s4 = _as_sbar4(sigma_bar2)
-    r1 = _layer(pR3, 0.0, s2) + _layer(pR1, pR2 + pR3, s3)
-    r2 = min(_layer(pR1, pR2, s1), _layer(pR1, pR2 + pR3, s3))
-    r3 = _layer(pR2, pR3, s4)
-    r4 = _layer(pR2, pR3, s3)
-    return RateTuple((r1, r2, r3, r4))
 
 
 @dataclass(frozen=True)
@@ -278,14 +238,9 @@ class DownlinkPowerAlloc:
 
 
 def scheme_rates(alloc: DownlinkPowerAlloc, sigma_bar2: Sequence[float]) -> RateTuple:
-    """Evaluate the rate map named by ``alloc.scheme_id`` at ``alloc``."""
-    if alloc.scheme_id == "4.1":
-        return rates_case1(alloc.pR1, alloc.pR2, sigma_bar2)
-    if alloc.scheme_id == "4.2":
-        return rates_case2_s1(alloc.pR1, alloc.pR2, alloc.pR3, alloc.pR4, sigma_bar2)
-    if alloc.scheme_id == "4.3":
-        return rates_case2_s2(alloc.pR1, alloc.pR2, sigma_bar2)
-    return rates_case3(alloc.pR1, alloc.pR2, alloc.pR3, sigma_bar2)
+    """Evaluate the rate map (`scheme_map`) named by ``alloc.scheme_id`` at ``alloc``."""
+    powers = (alloc.pR1, alloc.pR2, alloc.pR3, alloc.pR4)
+    return RateTuple(scheme_map(alloc.scheme_id, powers, _as_sbar4(sigma_bar2)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,18 @@ hops — a multiple-access uplink into the relay and a broadcast downlink out
 of it — and all rates are measured in bits per channel use (logs base 2).
 
 This module holds the shared vocabulary used everywhere else: the parameter
-record, rate tuples, the per-link capacity terms, certificate records, and
-the global numerical tolerances.
+record, rate tuples, the Gaussian and lattice rate kernels (elementwise over
+floats or numpy arrays), the per-link capacity terms, certificate records,
+and the global numerical tolerances.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, Tuple
+
+import numpy as np
 
 # ---------------------------------------------------------------------------
 # Global tolerances.  Every module compares against these; nothing redefines
@@ -178,10 +181,42 @@ def nonneg(x: float, what: str, scale: float = 1.0) -> float:
     raise InternalConsistencyError(f"{what} = {x} is negative beyond float dust")
 
 
-def _half_log2_1p(x: float) -> float:
-    """0.5 * log2(1 + x); every SNR passed in is >= 0 by SystemParams'
-    validation, so no dust guard is needed."""
-    return 0.5 * math.log2(1.0 + x)
+def half_log2_rate(x, floor=None, cap=None):
+    """0.5 * log2(x), raised to ``floor`` and then lowered to ``cap`` when given.
+
+    Elementwise over a float or a numpy array: floats go through
+    ``math.log2``/``max``/``min`` (no ufunc overhead on the scalar certificate
+    path), arrays through ``np.log2``/``np.maximum``/``np.minimum`` (one pass
+    over a whole power grid).  This is the only log in the package; every
+    rate map below and in `uplink`/`downlink` is written once on top of it.
+    Only the log itself can tell the two paths apart: on SIMD numpy builds
+    ``np.log2`` and ``math.log2`` differ in the last bit for a few arguments
+    in a thousand.
+    """
+    if isinstance(x, np.ndarray):
+        log2, maximum, minimum = np.log2, np.maximum, np.minimum
+    else:
+        log2, maximum, minimum = math.log2, max, min
+    y = 0.5 * log2(x)
+    if floor is not None:
+        y = maximum(floor, y)
+    if cap is not None:
+        y = minimum(y, cap)
+    return y
+
+
+def gaussian_layer(p, interference, noise, cap=None):
+    """Rate of a Gaussian codeword (or broadcast layer) of power ``p`` decoded
+    under ``interference``: 0.5*log2(1 + p / (interference + noise)), capped
+    at ``cap`` when given.  ``noise`` may be +inf (zero rate)."""
+    return half_log2_rate(1.0 + p / (interference + noise), cap=cap)
+
+
+def lattice_layer(p, interference, noise):
+    """Rate of one nested-lattice codeword: 0.5*[log2(1/2 + SNR)]+.  The
+    modulo-sum decoder loses the "1+" inside the log; the clip keeps the rate
+    meaningful at low SNR."""
+    return half_log2_rate(0.5 + p / (interference + noise), floor=0.0)
 
 
 def capacity_terms(params: SystemParams) -> CapacityTerms:
@@ -202,10 +237,10 @@ def capacity_terms(params: SystemParams) -> CapacityTerms:
     h, g, P, s2 = params.h, params.g, params.P, params.sigma2
     sR2, PR = params.sigmaR2, params.PR
 
-    C = tuple(_half_log2_1p(h[i] * h[i] * P[i] / sR2) for i in range(4))
-    D = tuple(_half_log2_1p(g[i] * g[i] * PR / s2[i]) for i in range(4))
+    C = tuple(gaussian_layer(h[i] * h[i] * P[i], 0.0, sR2) for i in range(4))
+    D = tuple(gaussian_layer(g[i] * g[i] * PR, 0.0, s2[i]) for i in range(4))
     Cpair = {
-        (i, j): _half_log2_1p((h[i - 1] ** 2 * P[i - 1] + h[j - 1] ** 2 * P[j - 1]) / sR2)
+        (i, j): gaussian_layer(h[i - 1] ** 2 * P[i - 1] + h[j - 1] ** 2 * P[j - 1], 0.0, sR2)
         for (i, j) in PAIR_KEYS
     }
     sigma_bar2 = tuple(

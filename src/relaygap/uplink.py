@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .bounds import uplink_polytope
 from .model import (
@@ -34,7 +34,9 @@ from .model import (
     SystemParams,
     ValidationError,
     capacity_terms,
+    gaussian_layer,
     geq,
+    lattice_layer,
     nonneg,
     slack_of,
 )
@@ -52,26 +54,24 @@ class Step(str, Enum):
     LB = "LB"
 
 
-def gaussian_rate(p: float, interference: float, sigma2: float) -> float:
-    """Decoding rate of a Gaussian codeword of power p under given interference."""
-    if p < 0 or interference < 0:
-        raise ValidationError(f"powers must be >= 0, got p={p}, interference={interference}")
+def _check_rate_inputs(p: float, interference: float, sigma2: float) -> None:
+    for name, v in (("p", p), ("interference", interference)):
+        if not (math.isfinite(v) and v >= 0):
+            raise ValidationError(f"{name} must be a finite power >= 0, got {v}")
     if not sigma2 > 0:
         raise ValidationError(f"sigma2 must be > 0, got {sigma2}")
-    return 0.5 * math.log2(1.0 + p / (interference + sigma2))
+
+
+def gaussian_rate(p: float, interference: float, sigma2: float) -> float:
+    """Decoding rate of a Gaussian codeword of power p under given interference."""
+    _check_rate_inputs(p, interference, sigma2)
+    return gaussian_layer(p, interference, sigma2)
 
 
 def lattice_rate(p: float, interference: float, sigma2: float) -> float:
-    """Decoding rate of one lattice-pair codeword: 1/2 [log2(1/2 + SNR)]+.
-
-    The modulo-sum decoder loses the "1+" inside the log; the positive-part
-    clip keeps the rate meaningful at low SNR.
-    """
-    if p < 0 or interference < 0:
-        raise ValidationError(f"powers must be >= 0, got p={p}, interference={interference}")
-    if not sigma2 > 0:
-        raise ValidationError(f"sigma2 must be > 0, got {sigma2}")
-    return 0.5 * max(0.0, math.log2(0.5 + p / (interference + sigma2)))
+    """Decoding rate of one lattice-pair codeword: 1/2 [log2(1/2 + SNR)]+."""
+    _check_rate_inputs(p, interference, sigma2)
+    return lattice_layer(p, interference, sigma2)
 
 
 @dataclass(frozen=True)
@@ -147,40 +147,37 @@ class UplinkSplitRates:
         return RateTuple((self.r10 + self.r11, self.r10, self.r30 + self.r31, self.r30))
 
 
-def uplink_achievable(
-    alloc: UplinkPowerAlloc, order: Sequence[Step], sigmaR2: float
-) -> UplinkSplitRates:
-    """Evaluate the SIC chain for one decoding order.
+def sic_rates(p10, p11, p30, p31, orders: Iterable[Sequence[Step]], sigmaR2: float):
+    """The relay's SIC chain, elementwise over floats or numpy arrays of
+    received powers: yields (r10, r11, r30, r31) for each decoding order in
+    ``orders`` (the lattice weights are formed once for all of them).
 
     Decoded groups are subtracted; groups not yet decoded interfere with the
     current stage.  A pending lattice pair interferes with twice its
-    per-codeword power.
+    per-codeword power.  Inputs are not validated here.
     """
+    power = {Step.G1: p11, Step.G3: p31, Step.LA: p10, Step.LB: p30}
+    weight = {Step.G1: p11, Step.G3: p31, Step.LA: 2.0 * p10, Step.LB: 2.0 * p30}
+    for order in orders:
+        rates = {}
+        for k, step in enumerate(order):
+            interference = sum(weight[s] for s in order[k + 1 :])
+            layer = gaussian_layer if step in (Step.G1, Step.G3) else lattice_layer
+            rates[step] = layer(power[step], interference, sigmaR2)
+        yield rates[Step.LA], rates[Step.G1], rates[Step.LB], rates[Step.G3]
+
+
+def uplink_achievable(
+    alloc: UplinkPowerAlloc, order: Sequence[Step], sigmaR2: float
+) -> UplinkSplitRates:
+    """Evaluate the SIC chain (`sic_rates`) for one decoding order."""
     steps = tuple(order)
     if sorted(s.value for s in steps) != sorted(s.value for s in Step):
         raise ValidationError(f"order must be a permutation of G1/G3/LA/LB, got {steps}")
     if not sigmaR2 > 0:
         raise ValidationError(f"sigmaR2 must be > 0, got {sigmaR2}")
-
-    weight = {
-        Step.G1: alloc.p11,
-        Step.G3: alloc.p31,
-        Step.LA: 2.0 * alloc.p10,
-        Step.LB: 2.0 * alloc.p30,
-    }
-    rates = {}
-    for k, step in enumerate(steps):
-        pending = steps[k + 1 :]
-        interference = sum(weight[s] for s in pending)
-        if step is Step.G1:
-            rates["r11"] = gaussian_rate(alloc.p11, interference, sigmaR2)
-        elif step is Step.G3:
-            rates["r31"] = gaussian_rate(alloc.p31, interference, sigmaR2)
-        elif step is Step.LA:
-            rates["r10"] = lattice_rate(alloc.p10, interference, sigmaR2)
-        else:
-            rates["r30"] = lattice_rate(alloc.p30, interference, sigmaR2)
-    return UplinkSplitRates(**rates)
+    (rates,) = sic_rates(alloc.p10, alloc.p11, alloc.p30, alloc.p31, (steps,), sigmaR2)
+    return UplinkSplitRates(*rates)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from relaygap.model import SystemParams
@@ -19,3 +22,39 @@ def unit_gain(P=(1.0, 1.0, 1.0, 1.0), sigma2=(1.0, 1.0, 1.0, 1.0),
 @pytest.fixture
 def unit_params() -> SystemParams:
     return unit_gain()
+
+
+@pytest.fixture(params=["numpy_log2", "libm_log2"])
+def bitwise(request, monkeypatch) -> bool:
+    """Which log2 the rate kernels' float path uses in a parity test.
+
+    ``numpy_log2`` routes ``math.log2`` through ``np.log2``, so a float and
+    an array see the same log and the kernels must agree bit for bit; what is
+    left to differ is the kernel code itself (operation order, interference
+    sums, clips, caps).  ``libm_log2`` keeps the real ``math.log2``, which on
+    SIMD numpy builds differs from ``np.log2`` by one ULP on a few arguments
+    in a thousand, so there the kernels need only agree to rounding.
+    Returns True when bit-for-bit equality is expected.
+    """
+    if request.param == "numpy_log2":
+        monkeypatch.setattr(math, "log2", lambda x: float(np.log2(x)))
+        return True
+    return False
+
+
+def assert_elementwise_parity(fn, arrays, bitwise: bool) -> None:
+    """``fn`` on whole numpy arrays equals ``fn`` on each element as a float.
+
+    ``fn`` returns one value or a tuple of values; every float-path result
+    must be a plain ``float``.
+    """
+    whole = np.atleast_2d(np.array(fn(*arrays), dtype=float))
+    for i in range(len(arrays[0])):
+        each = fn(*(float(a[i]) for a in arrays))
+        each = each if isinstance(each, tuple) else (each,)
+        assert all(type(v) is float for v in each), each
+        got = np.array(each, dtype=float)
+        if bitwise:
+            assert got.tobytes() == whole[:, i].tobytes(), (i, got, whole[:, i])
+        else:
+            np.testing.assert_allclose(got, whole[:, i], rtol=1e-15, atol=0.0)

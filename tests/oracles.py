@@ -1,15 +1,21 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive and self-contained: exact integer /
-rational arithmetic instead of floating point, dense grids instead of linear
-programs.  Slow, but with nothing to argue about.
+rational arithmetic or 40-digit mpmath instead of floating point, dense grids
+instead of linear programs.  Slow, but with nothing to argue about.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+from mpmath import mp, mpf
+
+from relaygap.downlink import alloc_for_vertex, classify_case, downlink_vertices
+from relaygap.effective import canonicalize
+from relaygap.model import capacity_terms
+from relaygap.uplink import decoding_order, uplink_power_alloc, uplink_vertices
 
 Point = Tuple[float, float, float, float]
 
@@ -217,3 +223,90 @@ def random_dyadic_system(rng: np.random.Generator, n_rows: int):
         (tuple(int(v) / _SCALE for v in row), int(rhs) / _SCALE)
         for row, rhs in zip(A, b)
     ]
+
+
+# ---------------------------------------------------------------------------
+# designated constructions re-evaluated in high precision
+#
+# The package's rate maps are written once and shared by the certificates
+# and the grid oracle, so agreement between those two says nothing about the
+# formulas themselves.  This reference takes only the synthesized transceiver
+# parameters from the package (decoding orders and power allocations) and
+# recomputes every achieved rate from the coding schemes' definitions in
+# 40-digit arithmetic, without calling any package rate function.
+# ---------------------------------------------------------------------------
+
+
+def _mp_layer(p, interference, noise):
+    """Gaussian codeword / broadcast layer: 1/2 log2(1 + p/(I + N))."""
+    return mp.log(1 + mpf(p) / (mpf(interference) + mpf(noise)), 2) / 2
+
+
+def _mp_lattice(p, interference, noise):
+    """Nested-lattice codeword: 1/2 [log2(1/2 + p/(I + N))]+."""
+    return max(mpf(0), mp.log(mpf(1) / 2 + mpf(p) / (mpf(interference) + mpf(noise)), 2) / 2)
+
+
+def _mp_uplink(alloc, order, sigmaR2):
+    """User rates after one SIC pass; a pending lattice pair counts twice."""
+    power = {"G1": alloc.p11, "G3": alloc.p31, "LA": alloc.p10, "LB": alloc.p30}
+    weight = {"G1": mpf(alloc.p11), "G3": mpf(alloc.p31),
+              "LA": 2 * mpf(alloc.p10), "LB": 2 * mpf(alloc.p30)}
+    rate = {}
+    for k, step in enumerate(s.value for s in order):
+        pending = sum((weight[s.value] for s in order[k + 1:]), mpf(0))
+        fn = _mp_layer if step in ("G1", "G3") else _mp_lattice
+        rate[step] = fn(power[step], pending, sigmaR2)
+    return (rate["LA"] + rate["G1"], rate["LA"], rate["LB"] + rate["G3"], rate["LB"])
+
+
+def _mp_downlink(alloc, sbar):
+    """User rates of the superposed broadcast scheme ``alloc.scheme_id``."""
+    p1, p2, p3, p4 = (mpf(v) for v in (alloc.pR1, alloc.pR2, alloc.pR3, alloc.pR4))
+    s1, s2, s3, s4 = (mpf(v) for v in sbar)
+    L = _mp_layer
+    if alloc.scheme_id == "4.1":
+        # pair-B codeword p1 on top, pair-A codeword p2 underneath
+        return (L(p2, 0, s2), L(p2, 0, s1), L(p1, p2, s4), L(p1, p2, s3))
+    if alloc.scheme_id == "4.3":
+        # as 4.1, but user 1 decodes p2 through p1
+        return (L(p2, 0, s2), L(p2, p1, s1), L(p1, p2, s4), L(p1, p2, s3))
+    if alloc.scheme_id == "4.2":
+        # p1 pair-B common, p2 pair-A common, p3 / p4 private parts of users 3 / 1
+        return (
+            L(p4, 0, s2) + L(p2, p3 + p4, s4),
+            L(p2, p3 + p4, s1),
+            L(p1, p2 + p3 + p4, s1) + L(p3, p4, s4),
+            min(L(p1, p2 + p4, s3), L(p1, p2 + p3 + p4, s1)),
+        )
+    # "4.4": p1 pair-A common, p2 pair-B common, p3 user 1's private part
+    return (
+        L(p3, 0, s2) + L(p1, p2 + p3, s3),
+        min(L(p1, p2, s1), L(p1, p2 + p3, s3)),
+        L(p2, p3, s4),
+        L(p2, p3, s3),
+    )
+
+
+def designated_slacks(params) -> Dict[str, float]:
+    """Max-component slack of every link vertex's designated construction.
+
+    The channel is canonicalized first, as `brute_force_gap` does, so the
+    labels match its rows.  Targets are the package's closed-form vertices;
+    achieved rates come from `_mp_uplink` / `_mp_downlink` at the package's
+    decoding orders and power allocations.
+    """
+    p = canonicalize(params).params
+    terms = capacity_terms(p)
+    case = classify_case(terms.sigma_bar2)
+    out: Dict[str, float] = {}
+    with mp.workdps(40):
+        alloc = uplink_power_alloc(p)
+        for vertex in uplink_vertices(terms):
+            achieved = _mp_uplink(alloc, decoding_order(vertex.label), p.sigmaR2)
+            out[vertex.label] = float(max(mpf(t) - a for t, a in zip(vertex.rates, achieved)))
+        for vertex in downlink_vertices(case, terms):
+            dn_alloc, _ = alloc_for_vertex(case, vertex.label, p)
+            achieved = _mp_downlink(dn_alloc, terms.sigma_bar2)
+            out[vertex.label] = float(max(mpf(t) - a for t, a in zip(vertex.rates, achieved)))
+    return out

@@ -8,6 +8,7 @@ from relaygap.bounds import downlink_polytope
 from relaygap.certifier import random_channel
 from relaygap.downlink import (
     CASE_SCHEMES,
+    SCHEME_IDS,
     SUBCASE_TAGS,
     CaseLabel,
     DecodeStep,
@@ -21,15 +22,13 @@ from relaygap.downlink import (
     downlink_vertices,
     message_plan,
     pr4_interval,
-    rates_case1,
-    rates_case2_s1,
-    rates_case2_s2,
-    rates_case3,
+    scheme_map,
     scheme_rates,
 )
 from relaygap.effective import canonicalize
 from relaygap.model import (
     InternalConsistencyError,
+    RateTuple,
     SystemParams,
     ValidationError,
     capacity_terms,
@@ -41,13 +40,18 @@ from relaygap.polytope import (
     maximal_vertices,
 )
 
-from conftest import unit_gain
+from conftest import assert_elementwise_parity, unit_gain
 
 HL = lambda x: 0.5 * math.log2(x)  # noqa: E731
 
 CASE1_NOISES = (2.0, 1.0, 4.0, 3.0)
 CASE2_NOISES = (3.0, 1.0, 4.0, 2.0)
 CASE3_NOISES = (4.0, 1.0, 3.0, 2.0)
+
+
+def rates(scheme_id, sbar, pR1=0.0, pR2=0.0, pR3=0.0, pR4=0.0):
+    """One broadcast scheme's rate map through the validated public entry."""
+    return scheme_rates(DownlinkPowerAlloc(pR1, pR2, pR3, pR4, scheme_id), sbar)
 
 
 def case_params(sbar, PR=1.0) -> SystemParams:
@@ -62,18 +66,18 @@ def case_params(sbar, PR=1.0) -> SystemParams:
 
 def test_two_layer_rates_all_power_in_bottom_layer():
     s = CASE1_NOISES
-    r = rates_case1(0.0, 5.0, s)
+    r = rates("4.1", s, 0.0, 5.0)
     assert r[0] == pytest.approx(HL(1 + 5.0 / s[1]), abs=1e-15)
     assert r[1] == pytest.approx(HL(1 + 5.0 / s[0]), abs=1e-15)
     assert r[2] == 0.0 and r[3] == 0.0
 
 
 def test_two_layer_rates_zero_power():
-    assert tuple(rates_case1(0.0, 0.0, CASE1_NOISES)) == (0.0, 0.0, 0.0, 0.0)
+    assert tuple(rates("4.1", CASE1_NOISES)) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_two_layer_rates_symmetric_unit():
-    r = rates_case1(1.0, 1.0, (1.0, 1.0, 1.0, 1.0))
+    r = rates("4.1", (1.0, 1.0, 1.0, 1.0), 1.0, 1.0)
     assert tuple(r) == pytest.approx((0.5, 0.5, HL(1.5), HL(1.5)), abs=1e-15)
 
 
@@ -83,19 +87,19 @@ def test_four_layer_rates_top_layer_only():
     # decoding positions
     s = CASE2_NOISES
     p = 2.5
-    r = rates_case2_s1(p, 0.0, 0.0, 0.0, s)
+    r = rates("4.2", s, p)
     assert r[0] == 0.0 and r[1] == 0.0
     assert r[2] == pytest.approx(HL(1 + p / s[0]), abs=1e-15)
     assert r[3] == pytest.approx(HL(1 + p / s[2]), abs=1e-15)
 
 
 def test_four_layer_rates_zero_power():
-    assert tuple(rates_case2_s1(0, 0, 0, 0, CASE2_NOISES)) == (0.0, 0.0, 0.0, 0.0)
+    assert tuple(rates("4.2", CASE2_NOISES)) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_four_layer_rates_generic_substitution():
     # pR = (1,1,1,1), sbar = (3,1,4,2); interference sums written out by hand
-    r = rates_case2_s1(1.0, 1.0, 1.0, 1.0, (3.0, 1.0, 4.0, 2.0))
+    r = rates("4.2", (3.0, 1.0, 4.0, 2.0), 1.0, 1.0, 1.0, 1.0)
     assert r[0] == pytest.approx(HL(2.0) + HL(1.25), abs=1e-12)        # 1/1, 1/(2+2)
     assert r[1] == pytest.approx(HL(1.2), abs=1e-12)                   # 1/(2+3)
     assert r[2] == pytest.approx(HL(7 / 6) + HL(4 / 3), abs=1e-12)     # 1/(3+3), 1/(1+2)
@@ -106,7 +110,7 @@ def test_four_layer_user4_takes_the_worse_of_two_positions():
     # the second decoding position sees the third layer as extra
     # interference; give that layer enough power that the min genuinely bites
     s = (50.0, 1.0, 55.0, 2.0)
-    r = rates_case2_s1(4.0, 1.0, 10.0, 1.0, s)
+    r = rates("4.2", s, 4.0, 1.0, 10.0, 1.0)
     own = HL(1 + 4.0 / (1.0 + 1.0 + 55.0))
     via_user2 = HL(1 + 4.0 / (1.0 + 10.0 + 1.0 + 50.0))
     assert r[3] == pytest.approx(min(own, via_user2), abs=1e-15)
@@ -115,26 +119,26 @@ def test_four_layer_user4_takes_the_worse_of_two_positions():
 
 def test_alternate_two_layer_rates():
     s = CASE2_NOISES
-    r = rates_case2_s2(2.0, 3.0, s)
+    r = rates("4.3", s, 2.0, 3.0)
     assert r[0] == pytest.approx(HL(1 + 3.0 / s[1]), abs=1e-15)
     assert r[1] == pytest.approx(HL(1 + 3.0 / (2.0 + s[0])), abs=1e-15)
     assert r[2] == pytest.approx(HL(1 + 2.0 / (3.0 + s[3])), abs=1e-15)
     assert r[3] == pytest.approx(HL(1 + 2.0 / (3.0 + s[2])), abs=1e-15)
     # with no top-layer power it degenerates to the two-layer map
-    assert tuple(rates_case2_s2(0.0, 3.0, s))[:2] == pytest.approx(
+    assert tuple(rates("4.3", s, 0.0, 3.0))[:2] == pytest.approx(
         (HL(1 + 3.0 / s[1]), HL(1 + 3.0 / s[0])), abs=1e-15
     )
 
 
 def test_three_layer_rates_private_layer_only():
     s = CASE3_NOISES
-    r = rates_case3(0.0, 0.0, 6.0, s)
+    r = rates("4.4", s, 0.0, 0.0, 6.0)
     assert r[0] == pytest.approx(HL(1 + 6.0 / s[1]), abs=1e-15)
     assert (r[1], r[2], r[3]) == (0.0, 0.0, 0.0)
 
 
 def test_three_layer_rates_generic_substitution():
-    r = rates_case3(1.0, 1.0, 1.0, (4.0, 1.0, 3.0, 2.0))
+    r = rates("4.4", (4.0, 1.0, 3.0, 2.0), 1.0, 1.0, 1.0)
     assert r[0] == pytest.approx(HL(2.0) + HL(1.2), abs=1e-12)   # 1/1, 1/(1+1+3)
     assert r[1] == pytest.approx(min(HL(1.2), HL(1.2)), abs=1e-12)
     assert r[2] == pytest.approx(HL(4 / 3), abs=1e-12)           # 1/(1+2)
@@ -145,7 +149,7 @@ def test_three_layer_user2_takes_the_worse_of_two_positions():
     s = (4.0, 1.0, 300.0, 2.0)
     # sbar3 is not actually case III here, but the map itself is oblivious;
     # the min must pick the pair-B decoding position when it is worse
-    r = rates_case3(5.0, 1.0, 1.0, s)
+    r = rates("4.4", s, 5.0, 1.0, 1.0)
     assert r[1] == pytest.approx(
         min(HL(1 + 5.0 / (1.0 + 4.0)), HL(1 + 5.0 / (1.0 + 1.0 + 300.0))), abs=1e-15
     )
@@ -153,19 +157,40 @@ def test_three_layer_user2_takes_the_worse_of_two_positions():
 
 def test_rate_maps_reject_bad_powers():
     with pytest.raises(ValidationError):
-        rates_case1(-1.0, 0.0, CASE1_NOISES)
+        rates("4.1", CASE1_NOISES, -1.0, 0.0)
     with pytest.raises(ValidationError):
-        rates_case2_s1(0.0, math.inf, 0.0, 0.0, CASE2_NOISES)
+        rates("4.2", CASE2_NOISES, 0.0, math.inf)
     with pytest.raises(ValidationError):
-        rates_case2_s2(float("nan"), 0.0, CASE2_NOISES)
+        rates("4.3", CASE2_NOISES, float("nan"), 0.0)
     with pytest.raises(ValidationError):
-        rates_case3(0.0, -2.0, 0.0, CASE3_NOISES)
+        rates("4.4", CASE3_NOISES, 0.0, -2.0)
 
 
 def test_rate_maps_tolerate_infinite_noise():
-    r = rates_case1(1.0, 1.0, (math.inf, 1.0, 2.0, 2.0))
+    r = rates("4.1", (math.inf, 1.0, 2.0, 2.0), 1.0, 1.0)
     assert r[1] == 0.0  # the unreachable user simply gets zero
     assert r[0] > 0.0
+
+
+@pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+def test_scheme_maps_match_on_floats_and_arrays(scheme_id, bitwise):
+    rng = np.random.default_rng(6)
+    n = 80
+    powers = [np.exp(rng.uniform(math.log(1e-6), math.log(1e6), n)) for _ in range(4)]
+    for p in powers:
+        p[rng.random(n) < 0.2] = 0.0
+    for sbar in (
+        CASE1_NOISES,
+        CASE2_NOISES,
+        CASE3_NOISES,
+        (math.inf, 1.0, 2.0, 2.0),
+        (3.0, 1.0, math.inf, math.inf),
+    ):
+        assert_elementwise_parity(lambda *p: scheme_map(scheme_id, p, sbar), powers, bitwise)
+    used = {"4.1": 2, "4.3": 2, "4.4": 3, "4.2": 4}[scheme_id]
+    alloc = DownlinkPowerAlloc(*(float(p[3]) if k < used else 0.0 for k, p in enumerate(powers)),
+                               scheme_id)
+    assert type(scheme_rates(alloc, CASE2_NOISES)) is RateTuple
 
 
 # ---------------------------------------------------------------------------
@@ -195,19 +220,37 @@ def test_alloc_clamps_float_dust_and_rejects_real_negatives():
 
 
 def test_scheme_rates_dispatches_on_scheme_id():
-    s = CASE2_NOISES
-    assert tuple(scheme_rates(DownlinkPowerAlloc(1.0, 2.0, 0, 0, "4.1"), s)) == tuple(
-        rates_case1(1.0, 2.0, s)
+    # same noises, each scheme written out by hand: the dispatch must pick
+    # the map the scheme id names
+    s = CASE2_NOISES  # (3, 1, 4, 2)
+    assert tuple(scheme_rates(DownlinkPowerAlloc(1.0, 2.0, 0, 0, "4.1"), s)) == pytest.approx(
+        (HL(3.0), HL(1 + 2.0 / 3.0), HL(1 + 1.0 / 4.0), HL(1 + 1.0 / 6.0)), abs=1e-15
     )
     assert tuple(
         scheme_rates(DownlinkPowerAlloc(1.0, 2.0, 0.5, 0.25, "4.2"), s)
-    ) == tuple(rates_case2_s1(1.0, 2.0, 0.5, 0.25, s))
-    assert tuple(scheme_rates(DownlinkPowerAlloc(1.0, 2.0, 0, 0, "4.3"), s)) == tuple(
-        rates_case2_s2(1.0, 2.0, s)
+    ) == pytest.approx(
+        (
+            HL(1.25) + HL(1 + 2.0 / 2.75),
+            HL(1 + 2.0 / 3.75),
+            HL(1 + 1.0 / 5.75) + HL(1 + 0.5 / 2.25),
+            min(HL(1 + 1.0 / 6.25), HL(1 + 1.0 / 5.75)),
+        ),
+        abs=1e-15,
+    )
+    assert tuple(scheme_rates(DownlinkPowerAlloc(1.0, 2.0, 0, 0, "4.3"), s)) == pytest.approx(
+        (HL(3.0), HL(1 + 2.0 / 4.0), HL(1 + 1.0 / 4.0), HL(1 + 1.0 / 6.0)), abs=1e-15
     )
     assert tuple(
         scheme_rates(DownlinkPowerAlloc(1.0, 2.0, 0.5, 0, "4.4"), s)
-    ) == tuple(rates_case3(1.0, 2.0, 0.5, s))
+    ) == pytest.approx(
+        (
+            HL(1.5) + HL(1 + 1.0 / 6.5),
+            min(HL(1 + 1.0 / 5.0), HL(1 + 1.0 / 6.5)),
+            HL(1 + 2.0 / 2.5),
+            HL(1 + 2.0 / 4.5),
+        ),
+        abs=1e-15,
+    )
 
 
 # ---------------------------------------------------------------------------

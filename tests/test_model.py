@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,12 +16,15 @@ from relaygap.model import (
     SystemParams,
     ValidationError,
     capacity_terms,
+    gaussian_layer,
     geq,
+    half_log2_rate,
+    lattice_layer,
     nonneg,
     slack_of,
 )
 
-from conftest import unit_gain
+from conftest import assert_elementwise_parity, unit_gain
 
 finite_gain = st.floats(min_value=0.1, max_value=10.0, allow_nan=False)
 finite_power = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
@@ -326,3 +330,42 @@ def test_capacity_terms_is_a_frozen_record(unit_params):
     assert isinstance(terms, CapacityTerms)
     with pytest.raises(Exception):
         terms.C = (0.0, 0.0, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the one rate primitive: floats and arrays take the same formulas
+# ---------------------------------------------------------------------------
+
+
+def test_rate_primitive_and_kernels_match_on_floats_and_arrays(bitwise):
+    rng = np.random.default_rng(4)
+    x = np.concatenate(
+        [np.exp(rng.uniform(math.log(0.25), math.log(1e9), 300)), [0.5, 1.0, 1.5, 2.0, 1e300]]
+    )
+    y = rng.permutation(x)
+    assert_elementwise_parity(half_log2_rate, (x,), bitwise)
+    assert_elementwise_parity(lambda v: half_log2_rate(v, floor=0.0), (x,), bitwise)
+
+    def capped(v, w):
+        return half_log2_rate(v, cap=half_log2_rate(w))
+
+    assert_elementwise_parity(capped, (x, y), bitwise)
+
+    n = 200
+    p = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), n))
+    interference = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), n))
+    interference[:20] = 0.0
+    noise = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), n))
+    noise[20:40] = math.inf  # an unreachable receiver: zero rate
+    # the lattice clip exactly at 0.5 + SNR = 1, and below it
+    interference[40:45], noise[40:45], p[40:45] = 1.0, 3.0, 2.0
+    p[45:50] = 0.0
+    assert (lattice_layer(p, interference, noise)[40:50] == 0.0).all()
+    assert (gaussian_layer(p, interference, noise)[20:40] == 0.0).all()
+    assert_elementwise_parity(gaussian_layer, (p, interference, noise), bitwise)
+    assert_elementwise_parity(lattice_layer, (p, interference, noise), bitwise)
+    assert_elementwise_parity(
+        lambda a, b, c: gaussian_layer(a, b, c, cap=gaussian_layer(a, 0.0, c)),
+        (p, interference, noise),
+        bitwise,
+    )

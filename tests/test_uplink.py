@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from relaygap.bounds import uplink_polytope
 from relaygap.certifier import random_channel
 from relaygap.effective import canonicalize
 from relaygap.model import (
+    RateTuple,
     SystemParams,
     ValidationError,
     capacity_terms,
@@ -22,13 +24,14 @@ from relaygap.uplink import (
     decoding_order,
     gaussian_rate,
     lattice_rate,
+    sic_rates,
     uplink_achievable,
     uplink_certificate,
     uplink_power_alloc,
     uplink_vertices,
 )
 
-from conftest import unit_gain
+from conftest import assert_elementwise_parity, unit_gain
 
 HALF_LOG_3_2 = 0.5 * math.log2(1.5)
 
@@ -43,6 +46,7 @@ def test_gaussian_rate_values():
     assert gaussian_rate(3.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-15)
     assert gaussian_rate(2.0, 3.0, 1.0) == pytest.approx(HALF_LOG_3_2, abs=1e-15)
     assert HALF_LOG_3_2 == pytest.approx(0.29248, abs=5e-6)
+    assert type(gaussian_rate(np.float64(3.0), 1, 2.0)) is float
 
 
 def test_lattice_rate_values():
@@ -51,6 +55,7 @@ def test_lattice_rate_values():
     # p = (interference + sigma2) / 2 sits exactly on the clamp boundary
     assert lattice_rate(1.0, 1.0, 1.0) == 0.0
     assert lattice_rate(0.5, 0.0, 1.0) == 0.0
+    assert type(lattice_rate(np.float64(3.0), 1, 2.0)) is float
 
 
 def test_rate_primitives_validate_inputs():
@@ -61,6 +66,11 @@ def test_rate_primitives_validate_inputs():
             fn(1.0, -0.5, 1.0)
         with pytest.raises(ValidationError):
             fn(1.0, 0.0, 0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                fn(bad, 0.0, 1.0)
+            with pytest.raises(ValidationError):
+                fn(1.0, bad, 1.0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -203,6 +213,30 @@ def test_sic_rejects_non_permutations():
         uplink_achievable(alloc, (Step.G1, Step.LA, Step.LB), sigmaR2=1.0)
     with pytest.raises(ValidationError):
         uplink_achievable(alloc, decoding_order("U1"), sigmaR2=0.0)
+
+
+def test_sic_chain_matches_on_floats_and_arrays_for_every_order(bitwise):
+    rng = np.random.default_rng(5)
+    n = 60
+    powers = [np.exp(rng.uniform(math.log(1e-6), math.log(1e6), n)) for _ in range(4)]
+    for p in powers:
+        p[rng.random(n) < 0.2] = 0.0
+    sigmaR2 = 2.0
+    # a lone lattice pair at half the relay noise sits exactly on the clip
+    for p in powers:
+        p[:2] = 0.0
+    powers[0][0] = powers[2][1] = 0.5 * sigmaR2
+    orders = list(itertools.permutations(Step))
+    assert len(orders) == 24
+    for r10, _, r30, _ in sic_rates(*powers, orders, sigmaR2):
+        assert r10[0] == 0.0 and r30[1] == 0.0
+
+    def every_order(*p):
+        return tuple(r for rates in sic_rates(*p, orders, sigmaR2) for r in rates)
+
+    assert_elementwise_parity(every_order, powers, bitwise)
+    alloc = UplinkPowerAlloc(*(float(p[5]) for p in powers))
+    assert type(uplink_achievable(alloc, orders[0], sigmaR2).user_rates()) is RateTuple
 
 
 def test_user_rates_compose_paired_plus_private():

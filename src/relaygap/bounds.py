@@ -9,16 +9,29 @@ Three systems are built from one set of capacity terms:
 * ``downlink_polytope`` — what the relay can deliver, which depends on the
   ordering of the effective downlink noises (the "case").
 
+All three cut their rows from one 0/1 matrix (`_ROWS`).  `link_certificate`
+holds the pass rule both per-link certificates share.
+
 User pairing: users 1 and 2 exchange messages, users 3 and 4 exchange
 messages, so user i's rate is delivered to its partner on the downlink.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
-from .model import CapacityTerms, ValidationError, geq
-from .polytope import HalfspaceSystem
+from .model import (
+    GAP_TOL,
+    HALF_BIT,
+    PAIR_KEYS,
+    CapacityTerms,
+    GapCertificate,
+    RateTuple,
+    ValidationError,
+    geq,
+    slack_of,
+)
+from .polytope import HalfspaceSystem, contains
 
 _NOISE_ORDERS = {
     # required sigma_bar2 orderings as chains of 1-based users, largest first:
@@ -30,17 +43,27 @@ _NOISE_ORDERS = {
 }
 
 
-def _unit(i: int) -> Tuple[float, float, float, float]:
-    a = [0.0, 0.0, 0.0, 0.0]
-    a[i - 1] = 1.0
-    return tuple(a)
+#: the 0/1 coefficient rows every region is cut from: the cross-pair sums
+#: R1+R3, R1+R4, R2+R3, R2+R4 (in `PAIR_KEYS` order), then R1..R4 alone
+_ROWS = (
+    (1.0, 0.0, 1.0, 0.0),
+    (1.0, 0.0, 0.0, 1.0),
+    (0.0, 1.0, 1.0, 0.0),
+    (0.0, 1.0, 0.0, 1.0),
+    (1.0, 0.0, 0.0, 0.0),
+    (0.0, 1.0, 0.0, 0.0),
+    (0.0, 0.0, 1.0, 0.0),
+    (0.0, 0.0, 0.0, 1.0),
+)
 
-
-def _pair_row(i: int, j: int) -> Tuple[float, float, float, float]:
-    a = [0.0, 0.0, 0.0, 0.0]
-    a[i - 1] = 1.0
-    a[j - 1] = 1.0
-    return tuple(a)
+#: each case's broadcast rows as (index into `_ROWS`, 1-based user whose
+#: downlink term D bounds it); rows implied by the others under R >= 0 are
+#: omitted
+_DOWNLINK_ROWS = {
+    "I": ((0, 2), (1, 2), (2, 1), (3, 1), (6, 4), (7, 3)),
+    "II": ((0, 2), (1, 2), (2, 4), (3, 1), (7, 3)),
+    "III": ((0, 2), (1, 2), (2, 4), (3, 3), (5, 1)),
+}
 
 
 def outer_bound(terms: CapacityTerms) -> HalfspaceSystem:
@@ -50,34 +73,17 @@ def outer_bound(terms: CapacityTerms) -> HalfspaceSystem:
     better of the two interested receivers can be served; individual rates by
     the user's own uplink and its partner's downlink.
     """
-    C, D, Cp = terms.C, terms.D, terms.Cpair
-    rows = [
-        (_pair_row(1, 3), min(Cp[(1, 3)], max(D[1], D[3]))),
-        (_pair_row(1, 4), min(Cp[(1, 4)], max(D[1], D[2]))),
-        (_pair_row(2, 3), min(Cp[(2, 3)], max(D[0], D[3]))),
-        (_pair_row(2, 4), min(Cp[(2, 4)], max(D[0], D[2]))),
-        (_unit(1), min(C[0], D[1])),
-        (_unit(2), min(C[1], D[0])),
-        (_unit(3), min(C[2], D[3])),
-        (_unit(4), min(C[3], D[2])),
-    ]
-    return HalfspaceSystem(rows)
+    D = terms.D
+    served = (D[1], D[0], D[3], D[2])  # user i's partner's downlink term
+    rhs = [min(terms.Cpair[(i, j)], max(served[i - 1], served[j - 1])) for i, j in PAIR_KEYS]
+    rhs += [min(c, d) for c, d in zip(terms.C, served)]
+    return HalfspaceSystem(zip(_ROWS, rhs))
 
 
 def uplink_polytope(terms: CapacityTerms) -> HalfspaceSystem:
     """Multiple-access region the relay can decode on the uplink."""
-    C, Cp = terms.C, terms.Cpair
-    rows = [
-        (_pair_row(1, 3), Cp[(1, 3)]),
-        (_pair_row(1, 4), Cp[(1, 4)]),
-        (_pair_row(2, 3), Cp[(2, 3)]),
-        (_pair_row(2, 4), Cp[(2, 4)]),
-        (_unit(1), C[0]),
-        (_unit(2), C[1]),
-        (_unit(3), C[2]),
-        (_unit(4), C[3]),
-    ]
-    return HalfspaceSystem(rows)
+    rhs = [terms.Cpair[key] for key in PAIR_KEYS] + list(terms.C)
+    return HalfspaceSystem(zip(_ROWS, rhs))
 
 
 def downlink_polytope(case, terms: CapacityTerms) -> HalfspaceSystem:
@@ -89,37 +95,31 @@ def downlink_polytope(case, terms: CapacityTerms) -> HalfspaceSystem:
     R >= 0 are omitted.
     """
     case_key = str(getattr(case, "value", case))
-    if case_key not in ("I", "II", "III"):
+    if case_key not in _DOWNLINK_ROWS:
         raise ValidationError(f"case must be one of I/II/III, got {case_key!r}")
     require_noise_order(terms.sigma_bar2, case_key)
+    return HalfspaceSystem(
+        (_ROWS[row], terms.D[user - 1]) for row, user in _DOWNLINK_ROWS[case_key]
+    )
 
-    D = terms.D
-    if case_key == "I":
-        rows = [
-            (_pair_row(1, 3), D[1]),
-            (_pair_row(1, 4), D[1]),
-            (_pair_row(2, 3), D[0]),
-            (_pair_row(2, 4), D[0]),
-            (_unit(3), D[3]),
-            (_unit(4), D[2]),
-        ]
-    elif case_key == "II":
-        rows = [
-            (_pair_row(1, 3), D[1]),
-            (_pair_row(1, 4), D[1]),
-            (_pair_row(2, 3), D[3]),
-            (_pair_row(2, 4), D[0]),
-            (_unit(4), D[2]),
-        ]
-    else:  # case III
-        rows = [
-            (_pair_row(1, 3), D[1]),
-            (_pair_row(1, 4), D[1]),
-            (_pair_row(2, 3), D[3]),
-            (_pair_row(2, 4), D[2]),
-            (_unit(2), D[0]),
-        ]
-    return HalfspaceSystem(rows)
+
+def link_certificate(
+    link: str, label: str, target: RateTuple, achieved: RateTuple, region: HalfspaceSystem,
+    subcase: str = "",
+) -> GapCertificate:
+    """The per-link certificate of one vertex: it passes when every slack
+    component is at most half a bit (within GAP_TOL) and the achieved tuple
+    lies in the link's region."""
+    slack = slack_of(target, achieved)
+    return GapCertificate(
+        link=link,
+        vertex_label=label,
+        target=target,
+        achieved=achieved,
+        slack=slack,
+        passed=max(slack) <= HALF_BIT + GAP_TOL and contains(region, achieved),
+        subcase=subcase,
+    )
 
 
 def require_noise_order(sigma_bar2: Sequence[float], key: str) -> None:

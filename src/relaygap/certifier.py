@@ -42,8 +42,9 @@ import numpy as np
 from .bounds import outer_bound
 from .downlink import (
     CASE_SCHEMES,
+    SCHEME_LAYERS,
     CaseLabel,
-    alloc_for_vertex,
+    _recipe,
     classify_case,
     downlink_certificate,
     downlink_vertices,
@@ -465,42 +466,28 @@ def _uplink_oracle(params: SystemParams, terms: CapacityTerms, n: int) -> Dict[s
 
 
 def _downlink_grids(
-    case: CaseLabel, params: SystemParams, labels: Sequence[str], n: int
+    case: CaseLabel, PR: float, sigma_bar2: Sequence[float], labels: Sequence[str], n: int
 ) -> Dict[str, List[np.ndarray]]:
-    """Nested simplex grids (plus recipe seed points) per admissible scheme."""
-    PR = params.PR
+    """Nested simplex grids (plus recipe seed points) per admissible scheme:
+    each used layer takes a grid fraction of the budget the layers before it
+    left, and the layers a scheme does not use stay at zero."""
     t = np.linspace(0.0, 1.0, n)
     grids: Dict[str, List[np.ndarray]] = {}
     for scheme in CASE_SCHEMES[case]:
-        if scheme == "4.2":
-            a, b, c, d = (v.ravel() for v in np.meshgrid(t, t, t, t, indexing="ij"))
-            p1 = a * PR
-            rem = PR - p1
-            p2 = b * rem
-            rem = rem - p2
-            p3 = c * rem
-            p4 = d * (rem - p3)
-        elif scheme == "4.4":
-            a, b, c = (v.ravel() for v in np.meshgrid(t, t, t, indexing="ij"))
-            p1 = a * PR
-            rem = PR - p1
-            p2 = b * rem
-            p3 = c * (rem - p2)
-            p4 = np.zeros_like(p1)
-        else:  # "4.1" and "4.3" spread two layers
-            a, b = (v.ravel() for v in np.meshgrid(t, t, indexing="ij"))
-            p1 = a * PR
-            p2 = b * (PR - p1)
-            p3 = np.zeros_like(p1)
-            p4 = np.zeros_like(p1)
-        grids[scheme] = [p1, p2, p3, p4]
+        fractions = np.meshgrid(*[t] * SCHEME_LAYERS[scheme], indexing="ij")
+        pools: List[np.ndarray] = []
+        rem = PR
+        for f in fractions:
+            pools.append(f.ravel() * rem)
+            rem = rem - pools[-1]
+        pools += [np.zeros_like(pools[0])] * (4 - len(pools))
+        grids[scheme] = pools
 
     for label in labels:
-        alloc, _ = alloc_for_vertex(case, label, params)
-        if alloc.scheme_id in grids:
-            pools = grids[alloc.scheme_id]
-            for i, val in enumerate((alloc.pR1, alloc.pR2, alloc.pR3, alloc.pR4)):
-                pools[i] = np.append(pools[i], val)
+        alloc, _ = _recipe(label, PR, sigma_bar2)
+        pools = grids[alloc.scheme_id]
+        for i, val in enumerate((alloc.pR1, alloc.pR2, alloc.pR3, alloc.pR4)):
+            pools[i] = np.append(pools[i], val)
     return grids
 
 
@@ -511,7 +498,7 @@ def _downlink_oracle(
     case = classify_case(terms.sigma_bar2)
     vertices = downlink_vertices(case, terms)
     best: Dict[str, Tuple[float, RateTuple]] = {}
-    grids = _downlink_grids(case, params, [v.label for v in vertices], n)
+    grids = _downlink_grids(case, params.PR, terms.sigma_bar2, [v.label for v in vertices], n)
     for scheme, pools in grids.items():
         _keep_best(best, vertices, np.stack(scheme_map(scheme, pools, terms.sigma_bar2)))
     return best

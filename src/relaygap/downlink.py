@@ -28,10 +28,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Sequence, Tuple
 
-from .bounds import downlink_polytope, require_noise_order
+from .bounds import downlink_polytope, link_certificate, require_noise_order
 from .model import (
-    GAP_TOL,
-    HALF_BIT,
     CapacityTerms,
     GapCertificate,
     InternalConsistencyError,
@@ -42,9 +40,7 @@ from .model import (
     gaussian_layer,
     geq,
     nonneg,
-    slack_of,
 )
-from .polytope import contains
 
 
 class CaseLabel(Enum):
@@ -55,7 +51,9 @@ class CaseLabel(Enum):
     III = "III"
 
 
-SCHEME_IDS = ("4.1", "4.2", "4.3", "4.4")
+#: broadcast layers each scheme uses; layers above the count carry no power
+SCHEME_LAYERS: Dict[str, int] = {"4.1": 2, "4.2": 4, "4.3": 2, "4.4": 3}
+SCHEME_IDS = tuple(SCHEME_LAYERS)
 
 #: broadcast schemes whose rate map is valid under each case's ordering
 CASE_SCHEMES: Dict[CaseLabel, Tuple[str, ...]] = {
@@ -200,8 +198,8 @@ class DownlinkPowerAlloc:
     """Relay power split across (up to) four broadcast layers.
 
     ``scheme_id`` names the rate map the split is meant for; layers a scheme
-    does not use must be exactly zero (schemes "4.1"/"4.3" use layers 1-2,
-    scheme "4.4" uses layers 1-3).
+    does not use must be exactly zero (`SCHEME_LAYERS`: schemes "4.1"/"4.3"
+    use layers 1-2, scheme "4.4" layers 1-3).
     """
 
     pR1: float
@@ -219,13 +217,12 @@ class DownlinkPowerAlloc:
             if math.isinf(v) or not geq(v, 0.0):
                 raise ValidationError(f"{name} must be a finite nonnegative power, got {v}")
             vals.append(v if v > 0.0 else 0.0)
-        if scheme_id in ("4.1", "4.3") and (vals[2] != 0.0 or vals[3] != 0.0):
+        used = SCHEME_LAYERS[scheme_id]
+        if any(vals[used:]):
             raise ValidationError(
-                f"scheme {scheme_id} uses two layers; pR3/pR4 must be 0, "
-                f"got {vals[2]}, {vals[3]}"
+                f"scheme {scheme_id} uses {used} layers; the powers above pR{used} "
+                f"must be 0, got {vals[used:]}"
             )
-        if scheme_id == "4.4" and vals[3] != 0.0:
-            raise ValidationError(f"scheme 4.4 uses three layers; pR4 must be 0, got {vals[3]}")
         object.__setattr__(self, "pR1", vals[0])
         object.__setattr__(self, "pR2", vals[1])
         object.__setattr__(self, "pR3", vals[2])
@@ -327,6 +324,20 @@ def _threshold(s1: float, s3: float) -> float:
     return math.inf if d <= 0.0 else s1 / d
 
 
+#: threshold recipes, label -> (k, top, low, scheme): at or above sbar_k,
+#: layer ``low`` gets sbar_k and layer ``top`` the surplus; below it, layer
+#: ``low`` takes the whole budget
+_WATERFILL: Dict[str, Tuple[int, int, int, str]] = {
+    "D1.2": (4, 1, 2, "4.1"),
+    "D1.3": (3, 1, 2, "4.1"),
+    "D2.1": (1, 2, 4, "4.2"),
+    "D2.2": (4, 1, 2, "4.3"),
+    "D3.1": (1, 1, 3, "4.4"),
+    "D3.2": (4, 2, 3, "4.4"),
+    "D3.3": (3, 2, 3, "4.4"),
+}
+
+
 def alloc_for_vertex(
     case: CaseLabel, label: str, params: SystemParams
 ) -> Tuple[DownlinkPowerAlloc, str]:
@@ -342,15 +353,27 @@ def alloc_for_vertex(
         raise ValidationError(f"vertex {label} does not belong to case {case.value}")
     terms = capacity_terms(params)
     require_noise_order(terms.sigma_bar2, case.value)
-    s1, s2, s3, s4 = terms.sigma_bar2
-    PR = params.PR
+    return _recipe(label, params.PR, terms.sigma_bar2)
 
-    if case is CaseLabel.I:
-        alloc, tag = _alloc_case1(label, PR, s1, s2, s3, s4)
-    elif case is CaseLabel.II:
-        alloc, tag = _alloc_case2(label, PR, s1, s2, s3, s4)
-    else:
-        alloc, tag = _alloc_case3(label, PR, s1, s2, s3, s4)
+
+def _recipe(
+    label: str, PR: float, sigma_bar2: Sequence[float]
+) -> Tuple[DownlinkPowerAlloc, str]:
+    """`alloc_for_vertex` without its checks: the caller vouches that
+    ``sigma_bar2`` matches the case of ``label``."""
+    s1, s2, s3, s4 = sigma_bar2
+    if label in _WATERFILL:
+        alloc, tag = _waterfill(label, PR, sigma_bar2)
+    elif label == "D1.1":
+        alloc, tag = DownlinkPowerAlloc(0.0, PR, 0.0, 0.0, "4.1"), "always"
+    elif label == "D2.3":
+        alloc, tag = _alloc_d23(PR, s1, s2, s4)
+    elif label == "D2.4":
+        alloc, tag = _alloc_d24(PR, s1, s2, s3, s4)
+    elif label == "D2.5":
+        alloc, tag = _alloc_d25(PR, s1, s2, s3, s4)
+    else:  # D3.4 and D3.5 differ only in which of sbar4 / sbar3 they serve
+        alloc, tag = _alloc_d3_private(PR, s1, s2, s4 if label == "D3.4" else s3)
 
     if not geq(PR, alloc.total):
         raise InternalConsistencyError(
@@ -360,73 +383,52 @@ def alloc_for_vertex(
     return alloc, tag
 
 
-def _alloc_case1(label, PR, s1, s2, s3, s4):
-    if label == "D1.1":
-        return DownlinkPowerAlloc(0.0, PR, 0.0, 0.0, "4.1"), "always"
-    if label == "D1.2":
-        if PR >= s4:
-            return DownlinkPowerAlloc(PR - s4, s4, 0.0, 0.0, "4.1"), "PR>=sbar4"
-        return DownlinkPowerAlloc(0.0, PR, 0.0, 0.0, "4.1"), "PR<sbar4"
-    if label == "D1.3":
-        if PR >= s3:
-            return DownlinkPowerAlloc(PR - s3, s3, 0.0, 0.0, "4.1"), "PR>=sbar3"
-        return DownlinkPowerAlloc(0.0, PR, 0.0, 0.0, "4.1"), "PR<sbar3"
-    raise InternalConsistencyError(f"unhandled case-I label {label}")
+def _waterfill(label, PR, sigma_bar2):
+    k, top, low, scheme = _WATERFILL[label]
+    s = sigma_bar2[k - 1]
+    p = [0.0, 0.0, 0.0, 0.0]
+    if PR >= s:
+        p[top - 1], p[low - 1] = PR - s, s
+        return DownlinkPowerAlloc(*p, scheme), f"PR>=sbar{k}"
+    p[low - 1] = PR
+    return DownlinkPowerAlloc(*p, scheme), f"PR<sbar{k}"
 
 
-def _alloc_case2(label, PR, s1, s2, s3, s4):
-    if label == "D2.1":
-        if PR >= s1:
-            return DownlinkPowerAlloc(0.0, PR - s1, 0.0, s1, "4.2"), "PR>=sbar1"
-        return DownlinkPowerAlloc(0.0, 0.0, 0.0, PR, "4.2"), "PR<sbar1"
+def _alloc_d23(PR, s1, s2, s4):
+    if PR >= s1:
+        psum = s1
+        F = (s4 / (PR + s4)) * ((PR + s1) / s1)
+        pmin = F * (s1 + s4) * (PR + s2) / (2.0 * (PR + s4)) - s2
+        pmax = F * (s1 + s4) * 2.0 - s4
+        p4 = pr4_interval(pmin, pmax, psum)
+        p3 = nonneg(psum - p4, "pR3", PR)
+        return DownlinkPowerAlloc(0.0, PR - s1, p3, p4, "4.2"), "PR>=sbar1"
+    if PR >= s4:
+        return DownlinkPowerAlloc(0.0, 0.0, PR - s4, s4, "4.2"), "sbar4<=PR<sbar1"
+    return DownlinkPowerAlloc(0.0, 0.0, 0.0, PR, "4.2"), "PR<sbar4"
 
-    if label == "D2.2":
-        if PR >= s4:
-            return DownlinkPowerAlloc(PR - s4, s4, 0.0, 0.0, "4.3"), "PR>=sbar4"
-        return DownlinkPowerAlloc(0.0, PR, 0.0, 0.0, "4.3"), "PR<sbar4"
 
-    if label == "D2.3":
-        if PR >= s1:
-            psum = s1
-            F = (s4 / (PR + s4)) * ((PR + s1) / s1)
-            pmin = F * (s1 + s4) * (PR + s2) / (2.0 * (PR + s4)) - s2
-            pmax = F * (s1 + s4) * 2.0 - s4
-            p4 = pr4_interval(pmin, pmax, psum)
-            p3 = nonneg(psum - p4, "pR3", PR)
-            return DownlinkPowerAlloc(0.0, PR - s1, p3, p4, "4.2"), "PR>=sbar1"
-        if PR >= s4:
-            return DownlinkPowerAlloc(0.0, 0.0, PR - s4, s4, "4.2"), "sbar4<=PR<sbar1"
+def _alloc_d24(PR, s1, s2, s3, s4):
+    if PR < s4:
         return DownlinkPowerAlloc(0.0, 0.0, 0.0, PR, "4.2"), "PR<sbar4"
-
-    if label == "D2.4":
-        if PR < s4:
-            return DownlinkPowerAlloc(0.0, 0.0, 0.0, PR, "4.2"), "PR<sbar4"
-        if PR < s3:
-            if s4 >= 2.0 * s2:
-                p4 = s4 - 2.0 * s2
-                return (
-                    DownlinkPowerAlloc(0.0, PR - p4, 0.0, p4, "4.2"),
-                    "sbar4<=PR<sbar3,sbar4>=2sbar2",
-                )
+    if PR < s3:
+        if s4 >= 2.0 * s2:
+            p4 = s4 - 2.0 * s2
             return (
-                DownlinkPowerAlloc(0.0, PR, 0.0, 0.0, "4.2"),
-                "sbar4<=PR<sbar3,sbar4<2sbar2",
+                DownlinkPowerAlloc(0.0, PR - p4, 0.0, p4, "4.2"),
+                "sbar4<=PR<sbar3,sbar4>=2sbar2",
             )
-        if s3 >= 2.0 * s1:
-            p4 = s1 * (s3 + 2.0 * s1 - s4) / (s3 + s1)
-            psum = s1 * (s3 + 2.0 * s1) / s3
-            p3 = nonneg(psum - p4, "pR3", PR)
-            p2 = nonneg(s3 - psum, "pR2", PR)
-            return DownlinkPowerAlloc(PR - s3, p2, p3, p4, "4.2"), "PR>=sbar3,sbar3>=2sbar1"
-        return (
-            DownlinkPowerAlloc(PR - s3, 0.0, 0.5 * s3, 0.5 * s3, "4.2"),
-            "PR>=sbar3,sbar3<2sbar1",
-        )
-
-    if label == "D2.5":
-        return _alloc_d25(PR, s1, s2, s3, s4)
-
-    raise InternalConsistencyError(f"unhandled case-II label {label}")
+        return DownlinkPowerAlloc(0.0, PR, 0.0, 0.0, "4.2"), "sbar4<=PR<sbar3,sbar4<2sbar2"
+    if s3 >= 2.0 * s1:
+        p4 = s1 * (s3 + 2.0 * s1 - s4) / (s3 + s1)
+        psum = s1 * (s3 + 2.0 * s1) / s3
+        p3 = nonneg(psum - p4, "pR3", PR)
+        p2 = nonneg(s3 - psum, "pR2", PR)
+        return DownlinkPowerAlloc(PR - s3, p2, p3, p4, "4.2"), "PR>=sbar3,sbar3>=2sbar1"
+    return (
+        DownlinkPowerAlloc(PR - s3, 0.0, 0.5 * s3, 0.5 * s3, "4.2"),
+        "PR>=sbar3,sbar3<2sbar1",
+    )
 
 
 def _alloc_d25(PR, s1, s2, s3, s4):
@@ -468,9 +470,9 @@ def _alloc_d25(PR, s1, s2, s3, s4):
             )
         return _d25_low(PR, s1, s2, s3, s4), "2sbar1<=sbar3<3sbar1,PR<=sbar3"
 
-    if PR >= s4:
-        return DownlinkPowerAlloc(PR - s4, s4, 0.0, 0.0, "4.3"), "sbar3<2sbar1,PR>=sbar4"
-    return DownlinkPowerAlloc(0.0, PR, 0.0, 0.0, "4.3"), "sbar3<2sbar1,PR<sbar4"
+    # sbar3 < 2*sbar1: D2.2's threshold recipe on the alternate two-layer scheme
+    alloc, tag = _waterfill("D2.2", PR, (s1, s2, s3, s4))
+    return alloc, "sbar3<2sbar1," + tag
 
 
 def _d25_top(PR, s1, s2, s3, s4):
@@ -509,34 +511,15 @@ def _d25_quadratic_check(PR, s1, s2, s3, s4):
     nonneg(f, f"feasibility quadratic at PR={PR}", max(abs(a) * PR * PR, abs(b) * PR, abs(c)))
 
 
-def _alloc_case3(label, PR, s1, s2, s3, s4):
-    if label == "D3.1":
-        if PR >= s1:
-            return DownlinkPowerAlloc(PR - s1, 0.0, s1, 0.0, "4.4"), "PR>=sbar1"
-        return DownlinkPowerAlloc(0.0, 0.0, PR, 0.0, "4.4"), "PR<sbar1"
-    if label == "D3.2":
-        if PR >= s4:
-            return DownlinkPowerAlloc(0.0, PR - s4, s4, 0.0, "4.4"), "PR>=sbar4"
-        return DownlinkPowerAlloc(0.0, 0.0, PR, 0.0, "4.4"), "PR<sbar4"
-    if label == "D3.3":
-        if PR >= s3:
-            return DownlinkPowerAlloc(0.0, PR - s3, s3, 0.0, "4.4"), "PR>=sbar3"
-        return DownlinkPowerAlloc(0.0, 0.0, PR, 0.0, "4.4"), "PR<sbar3"
-    if label == "D3.4":
-        if PR >= s1:
-            p2 = nonneg(s1 - s4, "pR2", PR)
-            return DownlinkPowerAlloc(PR - s1, p2, s4, 0.0, "4.4"), "PR>=sbar1"
-        p3 = nonneg(PR * (s4 - s2) / (PR + s4), "pR3", PR)
-        p2 = nonneg(PR - p3, "pR2", PR)
-        return DownlinkPowerAlloc(0.0, p2, p3, 0.0, "4.4"), "PR<sbar1"
-    if label == "D3.5":
-        if PR >= s1:
-            p2 = nonneg(s1 - s3, "pR2", PR)
-            return DownlinkPowerAlloc(PR - s1, p2, s3, 0.0, "4.4"), "PR>=sbar1"
-        p3 = nonneg(PR * (s3 - s2) / (PR + s3), "pR3", PR)
-        p2 = nonneg(PR - p3, "pR2", PR)
-        return DownlinkPowerAlloc(0.0, p2, p3, 0.0, "4.4"), "PR<sbar1"
-    raise InternalConsistencyError(f"unhandled case-III label {label}")
+def _alloc_d3_private(PR, s1, s2, sk):
+    """D3.4 (sk = sbar4) and D3.5 (sk = sbar3): layer 3 carries user 1's
+    private remainder at the level pair B's user k can tolerate."""
+    if PR >= s1:
+        p2 = nonneg(s1 - sk, "pR2", PR)
+        return DownlinkPowerAlloc(PR - s1, p2, sk, 0.0, "4.4"), "PR>=sbar1"
+    p3 = nonneg(PR * (sk - s2) / (PR + sk), "pR3", PR)
+    p2 = nonneg(PR - p3, "pR2", PR)
+    return DownlinkPowerAlloc(0.0, p2, p3, 0.0, "4.4"), "PR<sbar1"
 
 
 # ---------------------------------------------------------------------------
@@ -795,30 +778,17 @@ def message_plan(case: CaseLabel, scheme_id: str) -> MessagePlan:
 def downlink_certificate(params: SystemParams) -> List[GapCertificate]:
     """Certify the half-bit gap at every downlink vertex of a canonical channel.
 
-    Classifies the channel, runs each vertex's power recipe through its
-    scheme's rate map, and passes a vertex when every slack component is at
-    most half a bit (within GAP_TOL) and the achieved tuple sits inside the
-    case's deliverable region.
+    Classifies the channel and runs each vertex's power recipe through its
+    scheme's rate map; `bounds.link_certificate` judges the achieved tuple
+    against the vertex and the case's deliverable region.
     """
     terms = capacity_terms(params)
     case = classify_case(terms.sigma_bar2)
     region = downlink_polytope(case, terms)
 
     certs: List[GapCertificate] = []
-    for vertex in downlink_vertices(case, terms):
-        alloc, tag = alloc_for_vertex(case, vertex.label, params)
+    for v in downlink_vertices(case, terms):
+        alloc, tag = _recipe(v.label, params.PR, terms.sigma_bar2)
         achieved = scheme_rates(alloc, terms.sigma_bar2)
-        slack = slack_of(vertex.rates, achieved)
-        ok = max(slack) <= HALF_BIT + GAP_TOL and contains(region, achieved)
-        certs.append(
-            GapCertificate(
-                link="downlink",
-                vertex_label=vertex.label,
-                target=vertex.rates,
-                achieved=achieved,
-                slack=slack,
-                passed=ok,
-                subcase=tag,
-            )
-        )
+        certs.append(link_certificate("downlink", v.label, v.rates, achieved, region, tag))
     return certs

@@ -132,45 +132,40 @@ def enumerate_vertices(system: HalfspaceSystem) -> VertexSet:
     order = np.lexsort((cands[:, 3], cands[:, 2], cands[:, 1], cands[:, 0]))
     cands = cands[order]
 
-    kept: List[np.ndarray] = []
-    for x in cands:
-        if kept and np.max(np.abs(np.array(kept) - x), axis=1).min() <= DEDUP_TOL:
-            continue
-        kept.append(x)
+    # greedy dedup in lexicographic order: a candidate is kept unless it lies
+    # within DEDUP_TOL of one already kept.  The pairwise L-infinity test is
+    # built one coordinate at a time, so no (K, K, 4) temporary is allocated.
+    close = np.ones((len(cands), len(cands)), dtype=bool)
+    for col in cands.T:
+        close &= np.abs(col[:, None] - col[None, :]) <= DEDUP_TOL
+    keep: List[int] = []
+    for k in range(len(cands)):
+        if not close[k, keep].any():
+            keep.append(k)
+    kept = cands[keep]
 
-    vertices: List[RateTuple] = []
-    tight_sets: List[Tuple[int, ...]] = []
-    for x in kept:
-        resid = np.abs(A @ x - b)
-        tight = tuple(int(i) for i in np.flatnonzero(resid <= TIGHT_TOL))
-        if len(tight) < 4:
-            raise InternalConsistencyError(
-                f"vertex {tuple(x)} has only {len(tight)} active rows"
-            )
-        vertices.append(RateTuple(tuple(x)))
-        tight_sets.append(tight)
-
-    return VertexSet(vertices=tuple(vertices), tight_sets=tuple(tight_sets))
+    tight = np.abs(A @ kept.T - b[:, None]).T <= TIGHT_TOL  # (V, m)
+    tight_sets = tuple(tuple(int(i) for i in np.flatnonzero(row)) for row in tight)
+    for x, active in zip(kept, tight_sets):
+        if len(active) < 4:
+            raise InternalConsistencyError(f"vertex {tuple(x)} has only {len(active)} active rows")
+    return VertexSet(vertices=tuple(RateTuple(tuple(x)) for x in kept), tight_sets=tight_sets)
 
 
 def maximal_vertices(vs: VertexSet) -> List[RateTuple]:
     """Filter a vertex set down to its componentwise-maximal elements.
 
     A vertex v is dropped when some other vertex w dominates it: w >= v in
-    every coordinate (within TIGHT_TOL) and strictly exceeds it by more than
-    TIGHT_TOL in at least one.
+    every coordinate within DEDUP_TOL and w exceeds v by more than DEDUP_TOL
+    in at least one.  That is the radius at which `enumerate_vertices`
+    already treats two points as one, so a corner whose dominator was merged
+    into a near-duplicate representative is still dropped.
     """
-    pts = np.array([list(v) for v in vs.vertices], dtype=float)
-    keep: List[RateTuple] = []
-    for k, v in enumerate(pts):
-        others = np.delete(pts, k, axis=0)
-        if others.size:
-            dominates = ((others >= v - TIGHT_TOL).all(axis=1)
-                         & ((others - v) > TIGHT_TOL).any(axis=1))
-            if dominates.any():
-                continue
-        keep.append(vs.vertices[k])
-    return keep
+    pts = np.array([list(v) for v in vs.vertices], dtype=float).reshape(-1, 4)
+    w, v = pts[:, None, :], pts[None, :, :]
+    dominates = (w >= v - DEDUP_TOL).all(axis=2) & ((w - v) > DEDUP_TOL).any(axis=2)
+    dominated = dominates.any(axis=0)
+    return [x for x, d in zip(vs.vertices, dominated) if not d]
 
 
 def contains(system: HalfspaceSystem, point: Sequence[float], tol: float = TIGHT_TOL) -> bool:

@@ -23,10 +23,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .bounds import uplink_polytope
+from .bounds import link_certificate, uplink_polytope
 from .model import (
-    GAP_TOL,
-    HALF_BIT,
     CapacityTerms,
     GapCertificate,
     InternalConsistencyError,
@@ -38,9 +36,7 @@ from .model import (
     geq,
     lattice_layer,
     nonneg,
-    slack_of,
 )
-from .polytope import contains
 
 UPLINK_LABELS = ("U1", "U2", "U3", "U4", "U5", "U6")
 
@@ -249,28 +245,15 @@ def uplink_certificate(params: SystemParams) -> List[GapCertificate]:
     """Certify the half-bit gap at every uplink vertex of a canonical channel.
 
     For each vertex the relay runs its designated SIC order on the fixed
-    power allocation; the certificate passes when every slack component is
-    at most half a bit (within GAP_TOL) and the achieved tuple sits inside
-    the uplink region.
+    power allocation; `bounds.link_certificate` judges the achieved tuple
+    against the vertex and the uplink region.
     """
     terms = capacity_terms(params)
     alloc = uplink_power_alloc(params)
     region = uplink_polytope(terms)
 
     certs: List[GapCertificate] = []
-    for vertex in uplink_vertices(terms):
-        split = uplink_achievable(alloc, decoding_order(vertex.label), params.sigmaR2)
-        achieved = split.user_rates()
-        slack = slack_of(vertex.rates, achieved)
-        ok = max(slack) <= HALF_BIT + GAP_TOL and contains(region, achieved)
-        certs.append(
-            GapCertificate(
-                link="uplink",
-                vertex_label=vertex.label,
-                target=vertex.rates,
-                achieved=achieved,
-                slack=slack,
-                passed=ok,
-            )
-        )
+    for v in uplink_vertices(terms):
+        achieved = uplink_achievable(alloc, decoding_order(v.label), params.sigmaR2).user_rates()
+        certs.append(link_certificate("uplink", v.label, v.rates, achieved, region))
     return certs

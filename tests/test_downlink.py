@@ -9,6 +9,7 @@ from relaygap.certifier import random_channel
 from relaygap.downlink import (
     CASE_SCHEMES,
     SCHEME_IDS,
+    SCHEME_LAYERS,
     SUBCASE_TAGS,
     CaseLabel,
     DecodeStep,
@@ -199,14 +200,16 @@ def test_scheme_maps_match_on_floats_and_arrays(scheme_id, bitwise):
 
 
 def test_alloc_zeroes_unused_layers_by_scheme():
-    DownlinkPowerAlloc(1.0, 2.0, 0.0, 0.0, "4.1")
-    DownlinkPowerAlloc(1.0, 2.0, 3.0, 0.0, "4.4")
-    with pytest.raises(ValidationError):
-        DownlinkPowerAlloc(1.0, 2.0, 0.5, 0.0, "4.1")
-    with pytest.raises(ValidationError):
-        DownlinkPowerAlloc(1.0, 2.0, 0.0, 0.5, "4.3")
-    with pytest.raises(ValidationError):
-        DownlinkPowerAlloc(1.0, 2.0, 3.0, 0.5, "4.4")
+    # every scheme: all of its layers take power, any layer above them none
+    for scheme_id, layers in (("4.1", 2), ("4.2", 4), ("4.3", 2), ("4.4", 3)):
+        assert SCHEME_LAYERS[scheme_id] == layers
+        used = [1.0, 2.0, 3.0, 4.0][:layers] + [0.0] * (4 - layers)
+        assert DownlinkPowerAlloc(*used, scheme_id).total == sum(used)
+        for k in range(layers, 4):
+            above = list(used)
+            above[k] = 0.5
+            with pytest.raises(ValidationError, match=f"uses {layers} layers"):
+                DownlinkPowerAlloc(*above, scheme_id)
 
 
 def test_alloc_clamps_float_dust_and_rejects_real_negatives():

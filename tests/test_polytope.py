@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from relaygap.model import InternalConsistencyError, RateTuple, ValidationError
+from relaygap.bounds import outer_bound
+from relaygap.certifier import random_channel
+from relaygap.model import (
+    DEDUP_TOL,
+    InternalConsistencyError,
+    RateTuple,
+    ValidationError,
+    capacity_terms,
+)
 from relaygap.polytope import (
     HalfspaceSystem,
     VertexSet,
@@ -178,7 +186,7 @@ def test_maximal_vertices_accepts_hand_built_sets():
 
 
 def test_maximal_vertices_keeps_near_duplicates_together():
-    # two points within TIGHT_TOL of each other: neither strictly dominates
+    # two points within DEDUP_TOL of each other: neither strictly dominates
     vs = VertexSet(
         vertices=(
             RateTuple((1.0, 1.0, 1.0, 1.0)),
@@ -187,6 +195,22 @@ def test_maximal_vertices_keeps_near_duplicates_together():
         tight_sets=((), ()),
     )
     assert len(maximal_vertices(vs)) == 2
+
+
+@pytest.mark.parametrize("draw", [77, 92, 175])
+def test_maximal_vertices_drop_corners_dominated_within_dedup_tol(draw):
+    # wide-range channels where a corner's dominator sits within DEDUP_TOL
+    # below it in some coordinate (or was merged into such a representative)
+    rng = np.random.default_rng(7)
+    box = (1e-6, 1e6)
+    for _ in range(draw + 1):
+        params = random_channel(rng, box, box, box)
+    vs = enumerate_vertices(outer_bound(capacity_terms(params)))
+    pts = np.array([list(v) for v in vs.vertices])
+    for v in maximal_vertices(vs):
+        v = np.array(list(v))
+        dominators = (pts >= v - DEDUP_TOL).all(axis=1) & ((pts - v) > DEDUP_TOL).any(axis=1)
+        assert not dominators.any(), f"maximal corner {tuple(v)} is dominated"
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .model import (
     GapCertificate,
     RateTuple,
     ValidationError,
+    as_case,
     geq,
     slack_of,
 )
@@ -94,9 +95,7 @@ def downlink_polytope(case, terms: CapacityTerms) -> HalfspaceSystem:
     ValidationError is raised.  Rows implied by the remaining ones under
     R >= 0 are omitted.
     """
-    case_key = str(getattr(case, "value", case))
-    if case_key not in _DOWNLINK_ROWS:
-        raise ValidationError(f"case must be one of I/II/III, got {case_key!r}")
+    case_key = as_case(case).value
     require_noise_order(terms.sigma_bar2, case_key)
     return HalfspaceSystem(
         (_ROWS[row], terms.D[user - 1]) for row, user in _DOWNLINK_ROWS[case_key]

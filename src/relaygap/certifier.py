@@ -117,8 +117,6 @@ def _best_scale(up: np.ndarray, dn: np.ndarray, target: np.ndarray) -> Tuple[flo
     in_dn = _in_hull(dn, target)
     if in_up and in_dn:
         return 1.0, in_up, in_dn
-    if target.max() <= 0.0:
-        return 1.0, in_up, in_dn
 
     def ok(beta: float) -> bool:
         scaled = beta * target
@@ -147,8 +145,8 @@ def verify_theorem1(params: SystemParams) -> Theorem1Report:
     certify the full claim.
     """
     ordering_reports: List[OrderingReport] = []
-    up_points: List[Tuple[float, ...]] = []
-    dn_points: List[Tuple[float, ...]] = []
+    up_points: List[np.ndarray] = []
+    dn_points: List[np.ndarray] = []
     for order in ORDERINGS:
         eff = canonicalize(params, rate_order=order)
         ucerts = tuple(uplink_certificate(eff.params))
@@ -156,11 +154,13 @@ def verify_theorem1(params: SystemParams) -> Theorem1Report:
         ordering_reports.append(
             OrderingReport(rate_order=order, perm=eff.perm, uplink=ucerts, downlink=dcerts)
         )
-        up_points.extend(tuple(eff.to_original(c.achieved)) for c in ucerts)
-        dn_points.extend(tuple(eff.to_original(c.achieved)) for c in dcerts)
+        # column u of the original frame is the effective slot holding user u+1
+        back = np.argsort(eff.perm)
+        up_points.append(np.array([c.achieved.rates for c in ucerts])[:, back])
+        dn_points.append(np.array([c.achieved.rates for c in dcerts])[:, back])
 
-    up = np.array(up_points, dtype=float)
-    dn = np.array(dn_points, dtype=float)
+    up = np.vstack(up_points)
+    dn = np.vstack(dn_points)
 
     outer = outer_bound(capacity_terms(params))
     combined: List[GapCertificate] = []
@@ -185,13 +185,11 @@ def verify_theorem1(params: SystemParams) -> Theorem1Report:
             )
         )
 
-    passed = all(
-        c.passed
-        for rep in ordering_reports
-        for c in (*rep.uplink, *rep.downlink)
-    ) and all(c.passed for c in combined)
+    links = [c for rep in ordering_reports for c in (*rep.uplink, *rep.downlink)]
     return Theorem1Report(
-        orderings=tuple(ordering_reports), combined=tuple(combined), passed=passed
+        orderings=tuple(ordering_reports),
+        combined=tuple(combined),
+        passed=all(c.passed for c in (*links, *combined)),
     )
 
 
@@ -286,10 +284,14 @@ class MonteCarloReport:
 
 
 def _certificates_of(report: Theorem1Report):
+    """Every certificate of a report with the rate order it was made under
+    (None for the combined ones): orderings in turn, uplink before downlink,
+    then the combined certificates."""
     for rep in report.orderings:
-        yield from rep.uplink
-        yield from rep.downlink
-    yield from report.combined
+        for cert in (*rep.uplink, *rep.downlink):
+            yield rep.rate_order, cert
+    for cert in report.combined:
+        yield None, cert
 
 
 def monte_carlo(config: MonteCarloConfig) -> MonteCarloReport:
@@ -312,7 +314,7 @@ def monte_carlo(config: MonteCarloConfig) -> MonteCarloReport:
         report = verify_theorem1(params)
         if not report.passed:
             failures += 1
-        for cert in _certificates_of(report):
+        for _, cert in _certificates_of(report):
             top = max(cert.slack)
             if top > max_slack[cert.link]:
                 max_slack[cert.link] = top

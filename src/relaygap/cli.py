@@ -32,6 +32,7 @@ from .certifier import (
     MonteCarloConfig,
     MonteCarloReport,
     Theorem1Report,
+    _certificates_of,
     monte_carlo,
     verify_theorem1,
 )
@@ -56,6 +57,8 @@ _CHANNEL_KEYS = ("h", "g", "P", "sigma2", "sigmaR2", "PR")
 
 
 def _jnum(x: float) -> str:
+    """A report number as JSON: 12 significant digits, infinities as the
+    strings "inf" / "-inf", NaN an internal fault (CSV drops the quotes)."""
     x = float(x)
     if math.isinf(x):
         return '"inf"' if x > 0 else '"-inf"'
@@ -64,11 +67,8 @@ def _jnum(x: float) -> str:
     return format(x, ".12g")
 
 
-def _csv_num(x: float) -> str:
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".12g")
+def _csv_cells(values) -> List[str]:
+    return [_jnum(v).strip('"') for v in values]
 
 
 def _is_scalar(v) -> bool:
@@ -228,11 +228,7 @@ def _mc_doc(report: MonteCarloReport) -> dict:
         "trials": report.trials,
         "failures": report.failures,
         "pass": report.passed,
-        "maxSlack": {
-            "uplink": report.max_slack["uplink"],
-            "downlink": report.max_slack["downlink"],
-            "combined": report.max_slack["combined"],
-        },
+        "maxSlack": dict(report.max_slack),
         "worst": {
             "link": report.worst.link,
             "label": report.worst.vertex_label,
@@ -246,16 +242,10 @@ def _mc_doc(report: MonteCarloReport) -> dict:
 def _vertices_doc(system: HalfspaceSystem) -> List[dict]:
     vset = enumerate_vertices(system)
     maximal = maximal_vertices(vset)
-    docs = []
-    for vertex, tight in zip(vset.vertices, vset.tight_sets):
-        docs.append(
-            {
-                "rates": list(vertex),
-                "tight": [int(i) for i in tight],
-                "maximal": vertex in maximal,
-            }
-        )
-    return docs
+    return [
+        {"rates": list(vertex), "tight": list(tight), "maximal": vertex in maximal}
+        for vertex, tight in zip(vset.vertices, vset.tight_sets)
+    ]
 
 
 _CERT_HEADER = (
@@ -267,28 +257,20 @@ _CERT_HEADER = (
 )
 
 
-def _cert_rows(report: Theorem1Report) -> List[Tuple[str, GapCertificate]]:
-    """Flatten a theorem report into (ordering tag, certificate) rows."""
-    rows: List[Tuple[str, GapCertificate]] = []
-    for rep in report.orderings:
-        tag = f"{rep.rate_order[0]}-{rep.rate_order[1]}"
-        for cert in (*rep.uplink, *rep.downlink):
-            rows.append((tag, cert))
-    for cert in report.combined:
-        rows.append(("", cert))
-    return rows
-
-
-def _cert_csv_row(tag: str, cert: GapCertificate) -> List[str]:
+def _cert_csv_rows(report: Theorem1Report, mids: Sequence[str] = ()) -> List[List[str]]:
+    """One CSV row per certificate: its ordering tag ("" for the combined
+    ones), link, label and subcase, then ``mids``, then the numbers."""
     return [
-        tag,
-        cert.link,
-        cert.vertex_label,
-        cert.subcase,
-        *(_csv_num(v) for v in cert.target),
-        *(_csv_num(v) for v in cert.achieved),
-        *(_csv_num(v) for v in cert.slack),
-        "true" if cert.passed else "false",
+        [
+            f"{order[0]}-{order[1]}" if order else "",
+            cert.link,
+            cert.vertex_label,
+            cert.subcase,
+            *mids,
+            *_csv_cells((*cert.target, *cert.achieved, *cert.slack)),
+            "true" if cert.passed else "false",
+        ]
+        for order, cert in _certificates_of(report)
     ]
 
 
@@ -346,10 +328,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(_render(_theorem_doc(params, report)))
     else:
+        rows = _cert_csv_rows(report)  # all rows first: a NaN exits 3 before any output
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(_CERT_HEADER)
-        for tag, cert in _cert_rows(report):
-            writer.writerow(_cert_csv_row(tag, cert))
+        writer.writerows(rows)
     return 0 if report.passed else 1
 
 
@@ -375,11 +357,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         swept = dataclasses.replace(params, **{args.param: value})
         terms = capacity_terms(swept)
         report = verify_theorem1(swept)
-        prefix = [args.param, _csv_num(value)]
-        mids = [_csv_num(v) for v in (*terms.C, *terms.D)]
-        for tag, cert in _cert_rows(report):
-            row = _cert_csv_row(tag, cert)
-            writer.writerow(prefix + row[:4] + mids + row[4:])
+        prefix = [args.param, *_csv_cells((value,))]
+        mids = _csv_cells((*terms.C, *terms.D))
+        writer.writerows(prefix + row for row in _cert_csv_rows(report, mids))
     return 0
 
 

@@ -25,30 +25,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Dict, List, Sequence, Tuple
 
 from .bounds import downlink_polytope, link_certificate, require_noise_order
 from .model import (
     CapacityTerms,
+    CaseLabel,
     GapCertificate,
     InternalConsistencyError,
     RateTuple,
     SystemParams,
     ValidationError,
+    _as_float4,
+    as_case,
     capacity_terms,
     gaussian_layer,
     geq,
     nonneg,
 )
-
-
-class CaseLabel(Enum):
-    """Which of the three effective-noise orderings the channel falls in."""
-
-    I = "I"
-    II = "II"
-    III = "III"
 
 
 #: broadcast layers each scheme uses; layers above the count carry no power
@@ -117,16 +111,11 @@ def case_of_label(label: str) -> CaseLabel:
 
 
 def _as_sbar4(sigma_bar2) -> Tuple[float, float, float, float]:
-    try:
-        vals = tuple(float(v) for v in sigma_bar2)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"sigma_bar2 must be a sequence of 4 reals: {exc}") from exc
-    if len(vals) != 4:
-        raise ValidationError(f"sigma_bar2 must have exactly 4 entries, got {len(vals)}")
+    vals = _as_float4(sigma_bar2, "sigma_bar2")
     for k, v in enumerate(vals):
-        if math.isnan(v) or v <= 0.0:
+        if not v > 0.0:
             raise ValidationError(f"sigma_bar2[{k + 1}] must be > 0 (inf allowed), got {v}")
-    return vals  # type: ignore[return-value]
+    return vals
 
 
 def classify_case(sigma_bar2: Sequence[float]) -> CaseLabel:
@@ -258,7 +247,7 @@ def downlink_vertices(case: CaseLabel, terms: CapacityTerms) -> List[DownlinkVer
     component further below zero means the terms do not actually satisfy the
     case's noise ordering and raises.
     """
-    case = CaseLabel(getattr(case, "value", case))
+    case = as_case(case)
     d1, d2, d3, d4 = terms.D
     if case is CaseLabel.I:
         table = (
@@ -348,7 +337,7 @@ def alloc_for_vertex(
     noises).  ``params`` must be canonical and its noise ordering must match
     ``case``; the vertex ``label`` must belong to ``case``.
     """
-    case = CaseLabel(getattr(case, "value", case))
+    case = as_case(case)
     if case_of_label(label) is not case:
         raise ValidationError(f"vertex {label} does not belong to case {case.value}")
     terms = capacity_terms(params)
@@ -661,7 +650,7 @@ def message_plan(case: CaseLabel, scheme_id: str) -> MessagePlan:
     Valid combinations are case I with scheme "4.1", case II with "4.2" or
     "4.3", and case III with "4.4".
     """
-    case = CaseLabel(getattr(case, "value", case))
+    case = as_case(case)
     if scheme_id not in CASE_SCHEMES[case]:
         raise ValidationError(
             f"scheme {scheme_id!r} is not valid for case {case.value}; "
@@ -789,6 +778,7 @@ def downlink_certificate(params: SystemParams) -> List[GapCertificate]:
     certs: List[GapCertificate] = []
     for v in downlink_vertices(case, terms):
         alloc, tag = _recipe(v.label, params.PR, terms.sigma_bar2)
-        achieved = scheme_rates(alloc, terms.sigma_bar2)
+        powers = (alloc.pR1, alloc.pR2, alloc.pR3, alloc.pR4)
+        achieved = RateTuple(scheme_map(alloc.scheme_id, powers, terms.sigma_bar2))
         certs.append(link_certificate("downlink", v.label, v.rates, achieved, region, tag))
     return certs

@@ -6,15 +6,16 @@ hops — a multiple-access uplink into the relay and a broadcast downlink out
 of it — and all rates are measured in bits per channel use (logs base 2).
 
 This module holds the shared vocabulary used everywhere else: the parameter
-record, rate tuples, the Gaussian and lattice rate kernels (elementwise over
-floats or numpy arrays), the per-link capacity terms, certificate records,
-and the global numerical tolerances.
+record, the case labels, rate tuples, the Gaussian and lattice rate kernels
+(elementwise over floats or numpy arrays), the per-link capacity terms,
+certificate records, and the global numerical tolerances.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from typing import Dict, Iterator, Tuple
 
 import numpy as np
@@ -47,6 +48,24 @@ class InternalConsistencyError(RuntimeError):
     This signals a bug (or a numerically hostile input far outside the
     supported regime), never a normal failure mode.
     """
+
+
+class CaseLabel(Enum):
+    """Which of the three effective-noise orderings a channel falls in."""
+
+    I = "I"
+    II = "II"
+    III = "III"
+
+
+def as_case(case) -> CaseLabel:
+    """A CaseLabel from a CaseLabel or its value "I" / "II" / "III"; anything
+    else is a ValidationError."""
+    value = getattr(case, "value", case)
+    try:
+        return CaseLabel(value)
+    except ValueError:
+        raise ValidationError(f"case must be one of I/II/III, got {value!r}") from None
 
 
 def _as_float4(values, name: str) -> Tuple[float, float, float, float]:

@@ -30,6 +30,8 @@ _SINGULAR_REL_TOL = 1e-12
 # reduced-cost / pivot threshold inside the simplex
 _PIVOT_TOL = 1e-11
 _MAX_SIMPLEX_ITERS = 10_000
+#: the rows -R_i <= 0 every system ends with
+_NONNEG_ROWS = (0.0 - np.eye(4)).tolist()
 
 
 @dataclass(frozen=True)
@@ -40,50 +42,47 @@ class HalfspaceSystem:
     part of the indexed row list (user rows first).  Construction validates
     that the system is bounded above in every coordinate: each R_i must
     appear with a positive coefficient in at least one all-nonnegative row,
-    which together with R >= 0 certifies a finite upper bound.
+    which together with R >= 0 certifies a finite upper bound.  The rows are
+    stored once as the read-only arrays `arrays` returns; ``rows`` is read
+    off them.
     """
 
     rows: Tuple[Row, ...]
     n_user_rows: int
 
     def __init__(self, rows: Iterable[Sequence[float]]) -> None:
-        user_rows: List[Row] = []
+        coeffs: List[List[float]] = []
+        rhs: List[float] = []
         for k, entry in enumerate(rows):
             try:
                 a, b = entry
-                a = tuple(float(v) for v in a)
-                b = float(b)
+                coeffs.append([float(v) for v in a])
+                rhs.append(float(b))
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"rows[{k}] must be ((a1,a2,a3,a4), b): {exc}") from exc
-            if len(a) != 4:
+            if len(coeffs[k]) != 4:
                 raise ValidationError(f"rows[{k}] coefficient vector must have 4 entries")
-            if any(np.isnan(a)) or np.isnan(b) or any(np.isinf(a)) or np.isinf(b):
-                raise ValidationError(f"rows[{k}] contains a non-finite value")
-            user_rows.append((a, b))
 
-        for i in range(4):
-            bounded = any(
-                a[i] > 0.0 and all(c >= 0.0 for c in a) for a, _ in user_rows
+        A = np.array(coeffs + _NONNEG_ROWS, dtype=float)
+        b = np.array(rhs + [0.0] * 4)
+        finite = np.isfinite(A).all(axis=1) & np.isfinite(b)
+        if not finite.all():
+            raise ValidationError(f"rows[{int(finite.argmin())}] contains a non-finite value")
+        bounded = ((A > 0.0) & (A >= 0.0).all(axis=1, keepdims=True)).any(axis=0)
+        if not bounded.all():
+            raise ValidationError(
+                f"system is unbounded in coordinate R{int(bounded.argmin()) + 1}: no "
+                f"all-nonnegative row has a positive coefficient there"
             )
-            if not bounded:
-                raise ValidationError(
-                    f"system is unbounded in coordinate R{i + 1}: no all-nonnegative "
-                    f"row has a positive coefficient there"
-                )
 
-        nonneg: List[Row] = []
-        for i in range(4):
-            a = [0.0, 0.0, 0.0, 0.0]
-            a[i] = -1.0
-            nonneg.append((tuple(a), 0.0))
-
-        object.__setattr__(self, "rows", tuple(user_rows) + tuple(nonneg))
-        object.__setattr__(self, "n_user_rows", len(user_rows))
+        A.flags.writeable = b.flags.writeable = False
+        object.__setattr__(self, "_arrays", (A, b))
+        object.__setattr__(self, "rows", tuple(zip(map(tuple, A.tolist()), b.tolist())))
+        object.__setattr__(self, "n_user_rows", len(rhs))
 
     def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        A = np.array([a for a, _ in self.rows], dtype=float)
-        b = np.array([b for _, b in self.rows], dtype=float)
-        return A, b
+        """The read-only ``(A, b)`` of every row, nonnegativity rows last."""
+        return self._arrays
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ def enumerate_vertices(system: HalfspaceSystem) -> VertexSet:
     <= DEDUP_TOL) collapse to their lexicographically smallest representative.
     """
     A, b = system.arrays()
-    m = len(system.rows)
+    m = len(b)
 
     combos = np.array(list(itertools.combinations(range(m), 4)), dtype=int)
     sub_A = A[combos]  # (K, 4, 4)

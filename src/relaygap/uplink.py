@@ -244,16 +244,20 @@ def uplink_vertices(terms: CapacityTerms) -> List[UplinkVertex]:
 def uplink_certificate(params: SystemParams) -> List[GapCertificate]:
     """Certify the half-bit gap at every uplink vertex of a canonical channel.
 
-    For each vertex the relay runs its designated SIC order on the fixed
-    power allocation; `bounds.link_certificate` judges the achieved tuple
-    against the vertex and the uplink region.
+    The relay runs each vertex's designated SIC order on the fixed power
+    allocation (all six orders in one `sic_rates` pass);
+    `bounds.link_certificate` judges the achieved tuple against the vertex
+    and the uplink region.
     """
     terms = capacity_terms(params)
     alloc = uplink_power_alloc(params)
     region = uplink_polytope(terms)
-
-    certs: List[GapCertificate] = []
-    for v in uplink_vertices(terms):
-        achieved = uplink_achievable(alloc, decoding_order(v.label), params.sigmaR2).user_rates()
-        certs.append(link_certificate("uplink", v.label, v.rates, achieved, region))
-    return certs
+    vertices = uplink_vertices(terms)
+    achieved = sic_rates(
+        alloc.p10, alloc.p11, alloc.p30, alloc.p31,
+        [_ORDERS[v.label] for v in vertices], params.sigmaR2,
+    )
+    return [
+        link_certificate("uplink", v.label, v.rates, UplinkSplitRates(*r).user_rates(), region)
+        for v, r in zip(vertices, achieved)
+    ]

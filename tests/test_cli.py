@@ -196,6 +196,21 @@ def test_internal_fault_exits_three(monkeypatch, capsys):
     ]
 
 
+def test_nan_in_a_csv_report_exits_three(monkeypatch, capsys):
+    real = cli.verify_theorem1
+
+    def leaky(params):
+        report = real(params)
+        bad = dataclasses.replace(report.combined[0], slack=(math.nan, 0.0, 0.0, 0.0))
+        return dataclasses.replace(report, combined=(bad, *report.combined[1:]))
+
+    monkeypatch.setattr(cli, "verify_theorem1", leaky)
+    code, out, err = run_main(capsys, "certify", str(UNIT_CHANNEL), "--format", "csv")
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == ["error: internal consistency: NaN leaked into a report"]
+
+
 # ---------------------------------------------------------------------------
 # document structure
 # ---------------------------------------------------------------------------

@@ -448,6 +448,22 @@ def test_recipes_reject_channels_outside_the_case():
         alloc_for_vertex(CaseLabel.I, "D1.1", params)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda case: downlink_polytope(case, capacity_terms(case_params(CASE1_NOISES))),
+        lambda case: downlink_vertices(case, capacity_terms(case_params(CASE1_NOISES))),
+        lambda case: alloc_for_vertex(case, "D1.1", case_params(CASE1_NOISES)),
+        lambda case: message_plan(case, "4.1"),
+    ],
+    ids=["downlink_polytope", "downlink_vertices", "alloc_for_vertex", "message_plan"],
+)
+def test_unknown_case_is_a_validation_error(entry):
+    with pytest.raises(ValidationError, match="case must be one of I/II/III, got 'IV'"):
+        entry("IV")
+    entry("I")  # a case's value string stands for its CaseLabel
+
+
 def test_recipes_spend_within_budget_for_every_vertex():
     rng = np.random.default_rng(8086)
     for _ in range(200):

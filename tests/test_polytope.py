@@ -51,6 +51,19 @@ def test_nonnegativity_rows_are_appended():
     )
 
 
+def test_arrays_are_built_once_and_read_only():
+    sys_ = unit_box()
+    A, b = sys_.arrays()
+    assert sys_.arrays()[0] is A and sys_.arrays()[1] is b
+    assert A.shape == (8, 4) and b.shape == (8,)
+    for arr in (A, b):
+        with pytest.raises(ValueError):
+            arr[0] = 5.0
+    assert sys_.rows[0] == ((1.0, 0.0, 0.0, 0.0), 1.0)
+    assert sys_ == unit_box() and hash(sys_) == hash(unit_box())
+    assert sys_ != HalfspaceSystem([((1.0, 1.0, 1.0, 1.0), 1.0)])
+
+
 def test_unbounded_coordinate_is_rejected():
     rows = [((1.0, 0.0, 0.0, 0.0), 1.0), ((0.0, 1.0, 1.0, 0.0), 2.0)]
     with pytest.raises(ValidationError, match="unbounded in coordinate R4"):

@@ -212,6 +212,14 @@ def _check_range(name: str, rng: Sequence[float]) -> Tuple[float, float]:
     return lo, hi
 
 
+def _check_seed(seed):
+    """Return the seed, rejecting a negative integer (numpy seeds from
+    non-negative integers only)."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class MonteCarloConfig:
     """Shape of a seeded random-channel ensemble (log-uniform draws)."""
@@ -227,6 +235,7 @@ class MonteCarloConfig:
             raise ValidationError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValidationError(f"seed must be an integer, got {self.seed!r}")
+        _check_seed(self.seed)
         object.__setattr__(self, "gain_range", _check_range("gain_range", self.gain_range))
         object.__setattr__(self, "power_range", _check_range("power_range", self.power_range))
         object.__setattr__(self, "noise_range", _check_range("noise_range", self.noise_range))
@@ -247,7 +256,7 @@ def random_channel(
     gain_range = _check_range("gain_range", gain_range)
     power_range = _check_range("power_range", power_range)
     noise_range = _check_range("noise_range", noise_range)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))  # a Generator comes back unaltered
 
     def draw(bounds: Tuple[float, float], n: int) -> Tuple[float, ...]:
         lo, hi = bounds

@@ -71,8 +71,15 @@ def _csv_cells(values) -> List[str]:
     return [_jnum(v).strip('"') for v in values]
 
 
-def _is_scalar(v) -> bool:
-    return not isinstance(v, (dict, list, tuple))
+def _scalar(node) -> Optional[str]:
+    """A report leaf as JSON text; None for a dict, list or tuple."""
+    if isinstance(node, float):
+        return _jnum(node)
+    if node is None or isinstance(node, (bool, int, str)):
+        return json.dumps(node)
+    if isinstance(node, (dict, list, tuple)):
+        return None
+    raise InternalConsistencyError(f"cannot render {type(node).__name__} into a report")
 
 
 def _render(node, indent: int = 0) -> str:
@@ -87,24 +94,14 @@ def _render(node, indent: int = 0) -> str:
         ]
         return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
     if isinstance(node, (list, tuple)):
-        items = list(node)
-        if not items:
+        if not node:
             return "[]"
-        if all(_is_scalar(v) for v in items):
-            return "[" + ", ".join(_render(v) for v in items) + "]"
-        parts = [f"{pad}  " + _render(v, indent + 1) for v in items]
+        leaves = [_scalar(v) for v in node]
+        if None not in leaves:
+            return "[" + ", ".join(leaves) + "]"
+        parts = [f"{pad}  " + _render(v, indent + 1) for v in node]
         return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    if isinstance(node, bool):
-        return "true" if node else "false"
-    if node is None:
-        return "null"
-    if isinstance(node, float):
-        return _jnum(node)
-    if isinstance(node, int):
-        return str(node)
-    if isinstance(node, str):
-        return json.dumps(node)
-    raise InternalConsistencyError(f"cannot render {type(node).__name__} into a report")
+    return _scalar(node)
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +146,15 @@ def parse_channel(obj) -> SystemParams:
 
 
 def _load_channel(path: str) -> SystemParams:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    # JSON text is UTF-8 (RFC 8259); nesting past the recursion limit is no channel
     try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"channel file is not valid JSON: {exc}") from exc
     return parse_channel(obj)
 

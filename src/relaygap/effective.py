@@ -49,20 +49,11 @@ class EffectiveSystem:
 
     def to_original(self, rates: Sequence[float]) -> RateTuple:
         """Map a rate tuple from effective indexing back to original users."""
-        out = [0.0] * 4
-        for slot, user in enumerate(self.perm):
-            out[user - 1] = float(rates[slot])
-        return RateTuple(out)
+        return RateTuple([float(rates[self.perm.index(user)]) for user in (1, 2, 3, 4)])
 
     def to_effective(self, rates: Sequence[float]) -> RateTuple:
         """Map a rate tuple from original indexing into effective slots."""
         return RateTuple([float(rates[user - 1]) for user in self.perm])
-
-
-def _swap(seq: Tuple[float, ...], i: int, j: int) -> Tuple[float, ...]:
-    out = list(seq)
-    out[i], out[j] = out[j], out[i]
-    return tuple(out)
 
 
 def canonicalize(params: SystemParams, rate_order: Tuple[int, int] = (1, 3)) -> EffectiveSystem:
@@ -87,53 +78,30 @@ def canonicalize(params: SystemParams, rate_order: Tuple[int, int] = (1, 3)) -> 
     if lead_b not in (3, 4):
         raise ValidationError(f"rate_order[1] must be 3 or 4, got {lead_b}")
 
-    h, g, P, s2 = params.h, params.g, params.P, params.sigma2
-    perm = [1, 2, 3, 4]
-
     # step 1: put the requested rate leaders into slots 1 and 3
-    if lead_a == 2:
-        h, g, P, s2 = _swap(h, 0, 1), _swap(g, 0, 1), _swap(P, 0, 1), _swap(s2, 0, 1)
-        perm[0], perm[1] = perm[1], perm[0]
-    if lead_b == 4:
-        h, g, P, s2 = _swap(h, 2, 3), _swap(g, 2, 3), _swap(P, 2, 3), _swap(s2, 2, 3)
-        perm[2], perm[3] = perm[3], perm[2]
+    perm = [lead_a, 3 - lead_a, lead_b, 7 - lead_b]
+    h, g, P, s2 = (
+        [seq[user - 1] for user in perm] for seq in (params.h, params.g, params.P, params.sigma2)
+    )
 
-    # step 2: received uplink powers must not increase along each pair;
-    # shrink the offending gain (ties left untouched)
-    h = list(h)
     for lead, trail in ((0, 1), (2, 3)):
-        lead_pow = h[lead] ** 2 * P[lead]
-        trail_pow = h[trail] ** 2 * P[trail]
-        if lead_pow < trail_pow:  # so P[trail] > 0
+        # step 2: received uplink powers must not increase along each pair;
+        # shrink the offending gain (ties left untouched)
+        if h[lead] ** 2 * P[lead] < h[trail] ** 2 * P[trail]:  # so P[trail] > 0
             h[trail] = abs(h[lead]) * math.sqrt(P[lead] / P[trail])
-    h = tuple(h)
-
-    # step 3: downlink quality of the trailing user must not be worse than
-    # the leader's; inflate the leader's noise to match (gains untouched)
-    s2 = list(s2)
-    for lead, trail in ((0, 1), (2, 3)):
-        lead_q = g[lead] ** 2 / s2[lead]
-        trail_q = g[trail] ** 2 / s2[trail]
-        if trail_q < lead_q:
-            if g[trail] == 0.0:
-                # target quality is zero; only an infinite noise reaches it
-                s2[lead] = math.inf
-            else:
-                s2[lead] = g[lead] ** 2 * s2[trail] / g[trail] ** 2
-    s2 = tuple(s2)
+        # step 3: downlink quality of the trailing user must not be worse than
+        # the leader's; inflate the leader's noise to match (gains untouched)
+        if g[trail] ** 2 / s2[trail] < g[lead] ** 2 / s2[lead]:
+            # a zero trailing gain is zero target quality: only infinite noise reaches it
+            s2[lead] = math.inf if g[trail] == 0.0 else g[lead] ** 2 * s2[trail] / g[trail] ** 2
 
     # step 4: order the pairs by the trailing users' effective noises
     def bar2(i: int) -> float:
         return s2[i] / g[i] ** 2 if g[i] != 0.0 else math.inf
 
-    pair_swapped = False
-    if bar2(3) < bar2(1):
-        h = h[2:] + h[:2]
-        g = g[2:] + g[:2]
-        P = P[2:] + P[:2]
-        s2 = s2[2:] + s2[:2]
-        perm = perm[2:] + perm[:2]
-        pair_swapped = True
+    pair_swapped = bar2(3) < bar2(1)
+    if pair_swapped:
+        h, g, P, s2, perm = (seq[2:] + seq[:2] for seq in (h, g, P, s2, perm))
 
     eff = SystemParams(h=h, g=g, P=P, sigma2=s2, sigmaR2=params.sigmaR2, PR=params.PR)
     _check_degraded(params, eff, perm)

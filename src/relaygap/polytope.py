@@ -116,11 +116,9 @@ def enumerate_vertices(system: HalfspaceSystem) -> VertexSet:
     sub_b = b[combos]  # (K, 4)
 
     dets = np.linalg.det(sub_A)
-    row_scale = np.abs(sub_A).max(axis=2)  # (K, 4) per-row inf norms
-    scale = np.maximum(np.prod(row_scale, axis=1), 1.0)
+    # relative to the product of the subset's row inf-norms
+    scale = np.maximum(np.abs(A).max(axis=1)[combos].prod(axis=1), 1.0)
     nonsingular = np.abs(dets) > _SINGULAR_REL_TOL * scale
-    if not nonsingular.any():
-        raise InternalConsistencyError("no nonsingular 4-row subset found")
 
     sols = np.linalg.solve(sub_A[nonsingular], sub_b[nonsingular][..., None])[..., 0]  # (K', 4)
     feas = (A @ sols.T <= b[:, None] + TIGHT_TOL).all(axis=0)
@@ -137,14 +135,15 @@ def enumerate_vertices(system: HalfspaceSystem) -> VertexSet:
     close = np.ones((len(cands), len(cands)), dtype=bool)
     for col in cands.T:
         close &= np.abs(col[:, None] - col[None, :]) <= DEDUP_TOL
+    uncovered = np.ones(len(cands), dtype=bool)
     keep: List[int] = []
-    for k in range(len(cands)):
-        if not close[k, keep].any():
-            keep.append(k)
+    while uncovered.any():
+        keep.append(int(uncovered.argmax()))
+        uncovered &= ~close[keep[-1]]
     kept = cands[keep]
 
     tight = np.abs(A @ kept.T - b[:, None]).T <= TIGHT_TOL  # (V, m)
-    tight_sets = tuple(tuple(int(i) for i in np.flatnonzero(row)) for row in tight)
+    tight_sets = tuple(tuple(np.flatnonzero(row).tolist()) for row in tight)
     for x, active in zip(kept, tight_sets):
         if len(active) < 4:
             raise InternalConsistencyError(f"vertex {tuple(x)} has only {len(active)} active rows")
@@ -206,13 +205,8 @@ def in_downward_hull(
     # variables: lambda_1..lambda_n, surplus s_1..s_4  (all >= 0)
     #   sum_j lambda_j p_j[i] - s_i = t_i      (i = 1..4)
     #   sum_j lambda_j              = 1
-    A = np.zeros((5, n + 4))
-    A[:4, :n] = pts.T
-    A[:4, n:] = -np.eye(4)
-    A[4, :n] = 1.0
-    rhs = np.append(t, 1.0)
-
-    return _phase1_feasible(A, rhs, tol)
+    A = np.block([[pts.T, -np.eye(4)], [np.ones((1, n)), np.zeros((1, 4))]])
+    return _phase1_feasible(A, np.append(t, 1.0), tol)
 
 
 def _phase1_feasible(A: np.ndarray, b: np.ndarray, tol: float) -> bool:
@@ -221,27 +215,22 @@ def _phase1_feasible(A: np.ndarray, b: np.ndarray, tol: float) -> bool:
     if (b < 0).any():
         raise InternalConsistencyError("phase-1 right-hand side must be nonnegative")
 
-    # tableau over [original vars | artificials], artificial basis to start
-    tab = np.hstack([A.copy(), np.eye(m)])
-    rhs = b.astype(float).copy()
-    basis = list(range(n, n + m))
+    # tableau [original vars | artificials | b], artificial basis to start
+    tab = np.hstack([A, np.eye(m), b[:, None]])
+    basis = np.arange(n, n + m)
     cost = np.concatenate([np.zeros(n), np.ones(m)])
 
     for _ in range(_MAX_SIMPLEX_ITERS):
-        cb = cost[basis]
-        reduced = cost - cb @ tab
-        entering = -1
-        for j in range(n + m):  # Bland: lowest index with negative reduced cost
-            if reduced[j] < -_PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
+        reduced = cost - cost[basis] @ tab[:, :-1]
+        negative = np.flatnonzero(reduced < -_PIVOT_TOL)
+        if negative.size == 0:
             break
+        entering = negative[0]  # Bland: lowest index with negative reduced cost
 
         ratios = np.full(m, np.inf)
         col = tab[:, entering]
         positive = col > _PIVOT_TOL
-        ratios[positive] = rhs[positive] / col[positive]
+        ratios[positive] = tab[positive, -1] / col[positive]
         best = ratios.min()
         if not np.isfinite(best):
             # phase-1 objective is bounded below by 0, so an unbounded ray
@@ -249,19 +238,14 @@ def _phase1_feasible(A: np.ndarray, b: np.ndarray, tol: float) -> bool:
             raise InternalConsistencyError("phase-1 simplex met an unbounded column")
         # Bland: among tied rows pick the one with the smallest basis variable
         tied = np.flatnonzero(positive & (ratios <= best + 1e-15))
-        leaving = min(tied, key=lambda i: basis[i])
+        leaving = tied[np.argmin(basis[tied])]
 
-        pivot = tab[leaving, entering]
-        tab[leaving] /= pivot
-        rhs[leaving] /= pivot
-        for i in range(m):
-            if i != leaving and abs(tab[i, entering]) > 0.0:
-                f = tab[i, entering]
-                tab[i] -= f * tab[leaving]
-                rhs[i] -= f * rhs[leaving]
+        # eliminate the entering column from every row, then restore the pivot row
+        row = tab[leaving] / tab[leaving, entering]
+        tab -= np.outer(tab[:, entering], row)
+        tab[leaving] = row
         basis[leaving] = entering
     else:
         raise InternalConsistencyError("phase-1 simplex exceeded iteration cap")
 
-    objective = float(cost[basis] @ rhs)
-    return objective <= tol
+    return float(cost[basis] @ tab[:, -1]) <= tol

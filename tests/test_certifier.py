@@ -137,6 +137,8 @@ def test_random_channel_rejects_bad_ranges():
         random_channel(1, power_range=(5.0, 1.0))
     with pytest.raises(ValidationError):
         random_channel(1, noise_range=(1.0, math.inf))
+    with pytest.raises(ValidationError):
+        random_channel(-1)
 
 
 def test_log_uniform_median_sits_at_the_geometric_mean():
@@ -165,6 +167,8 @@ def test_config_validation():
         MonteCarloConfig(trials=1, seed=True)
     with pytest.raises(ValidationError):
         MonteCarloConfig(trials=1, seed=1.5)
+    with pytest.raises(ValidationError):
+        MonteCarloConfig(trials=1, seed=-1)
     with pytest.raises(ValidationError):
         MonteCarloConfig(trials=1, seed=0, gain_range=(0.0, 1.0))
     with pytest.raises(ValidationError):

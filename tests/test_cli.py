@@ -122,10 +122,12 @@ def test_missing_file_is_a_clean_error(capsys):
 
 def test_invalid_json_is_a_clean_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, out, err = run_main(capsys, "terms", str(bad))
-    assert code == 2
-    assert "not valid JSON" in err
+    # a syntax error, bytes that are not UTF-8, nesting past the recursion limit
+    for content in (b"{not json", b"\xff\xfe{}", b"[" * 200_000):
+        bad.write_bytes(content)
+        code, out, err = run_main(capsys, "terms", str(bad))
+        assert code == 2
+        assert "not valid JSON" in err
 
 
 def test_missing_field_names_the_field(tmp_path, capsys):
@@ -143,6 +145,12 @@ def test_certify_requires_exactly_one_source(capsys):
     assert code == 2 and "not both" in err
     code, _, err = run_main(capsys, "certify")
     assert code == 2
+
+
+def test_random_mode_rejects_a_negative_seed(capsys):
+    code, _, err = run_main(capsys, "certify", "--random", "2", "-1")
+    assert code == 2
+    assert "seed" in err
 
 
 def test_random_mode_has_no_csv(capsys):

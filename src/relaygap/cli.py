@@ -109,11 +109,22 @@ def _render(node, indent: int = 0) -> str:
 # ---------------------------------------------------------------------------
 
 
+class _IntLiteral(str):
+    """A JSON integer kept as its text, so one past float range or the int-digit
+    limit fails where its field is known; float() rounds it as it rounds an int."""
+
+
 def _coerce_number(value, field: str) -> float:
     if isinstance(value, bool):
         raise ValidationError(f"field {field!r} must be a number, got a boolean")
-    if isinstance(value, (int, float)):
-        return float(value)
+    if isinstance(value, (int, float, _IntLiteral)):
+        try:
+            x = float(value)
+        except OverflowError:  # an int past float range
+            x = math.inf
+        if math.isinf(x) and not isinstance(value, float):
+            raise ValidationError(f"field {field!r} is an integer too large for a float")
+        return x
     if value == "inf":
         return math.inf
     raise ValidationError(f'field {field!r} must be a number or "inf", got {value!r}')
@@ -153,7 +164,7 @@ def _load_channel(path: str) -> SystemParams:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=_IntLiteral)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"channel file is not valid JSON: {exc}") from exc
     return parse_channel(obj)
@@ -337,6 +348,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     params = _load_channel(args.channel)
     if args.steps < 1:
         raise ValidationError(f"--steps must be >= 1, got {args.steps}")
+    for flag, bound in (("--from", args.start), ("--to", args.stop)):
+        if not math.isfinite(bound):
+            raise ValidationError(f"{flag} must be finite, got {bound}")
+    if not math.isfinite(args.stop - args.start):
+        raise ValidationError("--to - --from must be finite (the sweep's span overflows)")
     if args.steps == 1:
         values = [float(args.start)]
     else:

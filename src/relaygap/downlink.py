@@ -56,18 +56,8 @@ CASE_SCHEMES: Dict[CaseLabel, Tuple[str, ...]] = {
     CaseLabel.III: ("4.4",),
 }
 
-DOWNLINK_LABELS = (
-    "D1.1", "D1.2", "D1.3",
-    "D2.1", "D2.2", "D2.3", "D2.4", "D2.5",
-    "D3.1", "D3.2", "D3.3", "D3.4", "D3.5",
-)
-
-_LABEL_CASE = {
-    label: {"1": CaseLabel.I, "2": CaseLabel.II, "3": CaseLabel.III}[label[1]]
-    for label in DOWNLINK_LABELS
-}
-
-#: every recipe branch `alloc_for_vertex` can take, keyed by vertex label
+#: every recipe branch `alloc_for_vertex` can take, keyed by vertex label;
+#: the keys are the label set, and a label's digit names its case
 SUBCASE_TAGS: Dict[str, Tuple[str, ...]] = {
     "D1.1": ("always",),
     "D1.2": ("PR>=sbar4", "PR<sbar4"),
@@ -102,12 +92,11 @@ SUBCASE_TAGS: Dict[str, Tuple[str, ...]] = {
 
 def case_of_label(label: str) -> CaseLabel:
     """Map a vertex label like "D2.3" to the case family it belongs to."""
-    try:
-        return _LABEL_CASE[label]
-    except KeyError:
+    if label not in SUBCASE_TAGS:
         raise ValidationError(
-            f"unknown downlink vertex label {label!r}; expected one of {DOWNLINK_LABELS}"
-        ) from None
+            f"unknown downlink vertex label {label!r}; expected one of {tuple(SUBCASE_TAGS)}"
+        )
+    return list(CaseLabel)[int(label[1]) - 1]
 
 
 def _as_sbar4(sigma_bar2) -> Tuple[float, float, float, float]:
@@ -383,14 +372,24 @@ def _waterfill(label, PR, sigma_bar2):
     return DownlinkPowerAlloc(*p, scheme), f"PR<sbar{k}"
 
 
+def _fill_34(PR, pmin, pmax, psum, extra_caps=()):
+    """The step every windowed recipe ends in: layer 4 takes its power from
+    the window (`pr4_interval`), layer 3 the rest of the sum ``psum``.
+    Returns (p3, p4)."""
+    p4 = pr4_interval(pmin, pmax, psum, extra_caps)
+    return nonneg(psum - p4, "pR3", PR), p4
+
+
+def _window(X, PR, s2, s4):
+    """The fourth-layer window (X (PR+s2) / (2 (PR+s4)) - s2, 2X - s4) that
+    D2.3 and D2.5's two windows below sbar3 share; returns (pmin, pmax)."""
+    return X * (PR + s2) / (2.0 * (PR + s4)) - s2, X * 2.0 - s4
+
+
 def _alloc_d23(PR, s1, s2, s4):
     if PR >= s1:
-        psum = s1
         F = (s4 / (PR + s4)) * ((PR + s1) / s1)
-        pmin = F * (s1 + s4) * (PR + s2) / (2.0 * (PR + s4)) - s2
-        pmax = F * (s1 + s4) * 2.0 - s4
-        p4 = pr4_interval(pmin, pmax, psum)
-        p3 = nonneg(psum - p4, "pR3", PR)
+        p3, p4 = _fill_34(PR, *_window(F * (s1 + s4), PR, s2, s4), s1)
         return DownlinkPowerAlloc(0.0, PR - s1, p3, p4, "4.2"), "PR>=sbar1"
     if PR >= s4:
         return DownlinkPowerAlloc(0.0, 0.0, PR - s4, s4, "4.2"), "sbar4<=PR<sbar1"
@@ -433,10 +432,7 @@ def _alloc_d25(PR, s1, s2, s3, s4):
             p2 = nonneg(PR - psum, "pR2", PR)
             q3 = 1.0 if math.isinf(s3) else s3 / (PR + s3)
             G = (2.0 * PR * s1 / s3 + s1 + s4) * (s4 / (PR + s4)) * ((PR + s1) / s1) * q3
-            pmin = G * (PR + s2) / (2.0 * (PR + s4)) - s2
-            pmax = G * 2.0 - s4
-            p4 = pr4_interval(pmin, pmax, psum)
-            p3 = nonneg(psum - p4, "pR3", PR)
+            p3, p4 = _fill_34(PR, *_window(G, PR, s2, s4), psum)
             return DownlinkPowerAlloc(0.0, p2, p3, p4, "4.2"), "sbar3>=3sbar1,thr<PR<sbar3"
         return _d25_low(PR, s1, s2, s3, s4), "sbar3>=3sbar1,PR<=thr"
 
@@ -451,8 +447,7 @@ def _alloc_d25(PR, s1, s2, s3, s4):
             pmax = K * ((2.0 + (s4 - s1) / s3) * PR + s1 + s4) - s4
             cap = (PR + 2.0 * s1 - s3) * s3 / (PR + s3)
             _d25_quadratic_check(PR, s1, s2, s3, s4)
-            p4 = pr4_interval(pmin, pmax, psum, extra_caps=(cap,))
-            p3 = nonneg(psum - p4, "pR3", PR)
+            p3, p4 = _fill_34(PR, pmin, pmax, psum, (cap,))
             return (
                 DownlinkPowerAlloc(p1, 0.0, p3, p4, "4.2"),
                 "2sbar1<=sbar3<3sbar1,sbar3<PR<thr",
@@ -473,8 +468,7 @@ def _d25_top(PR, s1, s2, s3, s4):
     K = (s4 / (PR + s4)) * ((PR + s1) / s1) * (s3 / (PR + s3))
     pmin = K * (psum + s4) * (PR + s2) / (2.0 * (s3 + s4)) - s2
     pmax = K * (psum + s4) * 2.0 * (PR + s1) / (s3 + s1) - s4
-    p4 = pr4_interval(pmin, pmax, psum)
-    p3 = nonneg(psum - p4, "pR3", PR)
+    p3, p4 = _fill_34(PR, pmin, pmax, psum)
     return DownlinkPowerAlloc(PR - s3, p2, p3, p4, "4.2")
 
 
@@ -482,11 +476,7 @@ def _d25_low(PR, s1, s2, s3, s4):
     """D2.5's low-power window: the whole budget goes to layers 3 and 4."""
     u1 = 1.0 if math.isinf(s1) else (PR + s1) / s1
     q3 = 1.0 if math.isinf(s3) else s3 / (PR + s3)
-    H = s4 * u1 * q3
-    pmin = H * (PR + s2) / (2.0 * (PR + s4)) - s2
-    pmax = H * 2.0 - s4
-    p4 = pr4_interval(pmin, pmax, PR)
-    p3 = nonneg(PR - p4, "pR3", PR)
+    p3, p4 = _fill_34(PR, *_window(s4 * u1 * q3, PR, s2, s4), PR)
     return DownlinkPowerAlloc(0.0, 0.0, p3, p4, "4.2")
 
 
@@ -644,6 +634,66 @@ def _steps(*pairs: Tuple[str, str]) -> Tuple[DecodeStep, ...]:
     return tuple(DecodeStep(action=a, codeword=c) for a, c in pairs)
 
 
+#: the two-layer layout of schemes "4.1" and "4.3" (one codeword per pair)
+#: and its rate relations
+_TWO_LAYERS = (
+    RelayCodeword("xR1", "RR1", ("mB", "m31")),
+    RelayCodeword("xR2", "RR2", ("mA", "m11")),
+)
+_TWO_LAYER_RATES = ("RR1 = R3", "RR2 = R1")
+#: the decode scripts several users share
+_READ_XR1 = _steps((DECODE_SELF, "xR1"),)
+_PEEL_XR1 = _steps((DECODE_PLAIN, "xR1"), (SIC_REMOVE, "xR1"), (DECODE_SELF, "xR2"))
+_PEEL_TO_XR3 = _steps(
+    (DECODE_PLAIN, "xR1"), (SIC_REMOVE, "xR1"),
+    (DECODE_PLAIN, "xR2"), (SIC_REMOVE, "xR2"),
+    (DECODE_PLAIN, "xR3"),
+)
+_SKIP_XR3 = _steps((SKIP_KNOWN, "xR3"), (DECODE_SELF, "xR1"))
+
+#: scheme -> (codewords, user scripts, rate relations)
+_PLANS: Dict[str, tuple] = {
+    # two layers; everybody peels the pair-B layer first, pair-A users then
+    # open the pair-A layer with their own message as side info, pair-B
+    # users open the pair-B layer directly the same way
+    "4.1": (_TWO_LAYERS, (_PEEL_XR1, _PEEL_XR1, _READ_XR1, _READ_XR1), _TWO_LAYER_RATES),
+    # four layers; the leaders' private remainders are split so the
+    # strongest users can take part of them at the bottom of the stack
+    "4.2": (
+        (
+            RelayCodeword("xR1", "RR1", ("mB", "m31.0")),
+            RelayCodeword("xR2", "RR2", ("mA", "m11.0")),
+            RelayCodeword("xR3", "RR3", ("m31.1",)),
+            RelayCodeword("xR4", "RR4", ("m11.1",)),
+        ),
+        (
+            _PEEL_XR1,
+            _PEEL_TO_XR3 + _steps((SIC_REMOVE, "xR3"), (DECODE_PLAIN, "xR4")),
+            _SKIP_XR3,
+            _PEEL_TO_XR3,
+        ),
+        ("R1 = RR2 + RR4", "R2 <= RR2", "R3 = RR1 + RR3", "R4 <= RR1"),
+    ),
+    # the two-layer layout again, but user 1 reads its layer through the
+    # pair-B layer's interference instead of peeling it first
+    "4.3": (
+        _TWO_LAYERS,
+        (_steps((DECODE_SELF, "xR2"),), _PEEL_XR1, _READ_XR1, _READ_XR1),
+        _TWO_LAYER_RATES,
+    ),
+    # three layers; only pair A's leader has a split remainder
+    "4.4": (
+        (
+            RelayCodeword("xR1", "RR1", ("mA", "m11.0")),
+            RelayCodeword("xR2", "RR2", ("mB", "m31")),
+            RelayCodeword("xR3", "RR3", ("m11.1",)),
+        ),
+        (_SKIP_XR3, _PEEL_TO_XR3, _PEEL_XR1, _PEEL_XR1),
+        ("R1 = RR1 + RR3", "R2 <= RR1", "R3 = RR2", "R4 <= RR2"),
+    ),
+}
+
+
 def message_plan(case: CaseLabel, scheme_id: str) -> MessagePlan:
     """The relay's reassembly plan for one (case, scheme) combination.
 
@@ -656,107 +706,7 @@ def message_plan(case: CaseLabel, scheme_id: str) -> MessagePlan:
             f"scheme {scheme_id!r} is not valid for case {case.value}; "
             f"expected one of {CASE_SCHEMES[case]}"
         )
-
-    if scheme_id == "4.1":
-        # two layers; everybody peels the pair-B layer first, pair-A users
-        # then open the pair-A layer with their own message as side info,
-        # pair-B users open the pair-B layer directly the same way
-        return MessagePlan(
-            case=case,
-            scheme_id="4.1",
-            codewords=(
-                RelayCodeword("xR1", "RR1", ("mB", "m31")),
-                RelayCodeword("xR2", "RR2", ("mA", "m11")),
-            ),
-            scripts=(
-                _steps((DECODE_PLAIN, "xR1"), (SIC_REMOVE, "xR1"), (DECODE_SELF, "xR2")),
-                _steps((DECODE_PLAIN, "xR1"), (SIC_REMOVE, "xR1"), (DECODE_SELF, "xR2")),
-                _steps((DECODE_SELF, "xR1"),),
-                _steps((DECODE_SELF, "xR1"),),
-            ),
-            rate_relations=("RR1 = R3", "RR2 = R1"),
-        )
-
-    if scheme_id == "4.2":
-        # four layers; the leaders' private remainders are split so the
-        # strongest users can take part of them at the bottom of the stack
-        return MessagePlan(
-            case=case,
-            scheme_id="4.2",
-            codewords=(
-                RelayCodeword("xR1", "RR1", ("mB", "m31.0")),
-                RelayCodeword("xR2", "RR2", ("mA", "m11.0")),
-                RelayCodeword("xR3", "RR3", ("m31.1",)),
-                RelayCodeword("xR4", "RR4", ("m11.1",)),
-            ),
-            scripts=(
-                _steps((DECODE_PLAIN, "xR1"), (SIC_REMOVE, "xR1"), (DECODE_SELF, "xR2")),
-                _steps(
-                    (DECODE_PLAIN, "xR1"), (SIC_REMOVE, "xR1"),
-                    (DECODE_PLAIN, "xR2"), (SIC_REMOVE, "xR2"),
-                    (DECODE_PLAIN, "xR3"), (SIC_REMOVE, "xR3"),
-                    (DECODE_PLAIN, "xR4"),
-                ),
-                _steps((SKIP_KNOWN, "xR3"), (DECODE_SELF, "xR1")),
-                _steps(
-                    (DECODE_PLAIN, "xR1"), (SIC_REMOVE, "xR1"),
-                    (DECODE_PLAIN, "xR2"), (SIC_REMOVE, "xR2"),
-                    (DECODE_PLAIN, "xR3"),
-                ),
-            ),
-            rate_relations=(
-                "R1 = RR2 + RR4",
-                "R2 <= RR2",
-                "R3 = RR1 + RR3",
-                "R4 <= RR1",
-            ),
-        )
-
-    if scheme_id == "4.3":
-        # the two-layer layout again, but user 1 reads its layer through the
-        # pair-B layer's interference instead of peeling it first
-        return MessagePlan(
-            case=case,
-            scheme_id="4.3",
-            codewords=(
-                RelayCodeword("xR1", "RR1", ("mB", "m31")),
-                RelayCodeword("xR2", "RR2", ("mA", "m11")),
-            ),
-            scripts=(
-                _steps((DECODE_SELF, "xR2"),),
-                _steps((DECODE_PLAIN, "xR1"), (SIC_REMOVE, "xR1"), (DECODE_SELF, "xR2")),
-                _steps((DECODE_SELF, "xR1"),),
-                _steps((DECODE_SELF, "xR1"),),
-            ),
-            rate_relations=("RR1 = R3", "RR2 = R1"),
-        )
-
-    # scheme "4.4": three layers; only pair A's leader has a split remainder
-    return MessagePlan(
-        case=case,
-        scheme_id="4.4",
-        codewords=(
-            RelayCodeword("xR1", "RR1", ("mA", "m11.0")),
-            RelayCodeword("xR2", "RR2", ("mB", "m31")),
-            RelayCodeword("xR3", "RR3", ("m11.1",)),
-        ),
-        scripts=(
-            _steps((SKIP_KNOWN, "xR3"), (DECODE_SELF, "xR1")),
-            _steps(
-                (DECODE_PLAIN, "xR1"), (SIC_REMOVE, "xR1"),
-                (DECODE_PLAIN, "xR2"), (SIC_REMOVE, "xR2"),
-                (DECODE_PLAIN, "xR3"),
-            ),
-            _steps((DECODE_PLAIN, "xR1"), (SIC_REMOVE, "xR1"), (DECODE_SELF, "xR2")),
-            _steps((DECODE_PLAIN, "xR1"), (SIC_REMOVE, "xR1"), (DECODE_SELF, "xR2")),
-        ),
-        rate_relations=(
-            "R1 = RR1 + RR3",
-            "R2 <= RR1",
-            "R3 = RR2",
-            "R4 <= RR2",
-        ),
-    )
+    return MessagePlan(case, scheme_id, *_PLANS[scheme_id])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ deterministic output.
 
 from __future__ import annotations
 
-import itertools
+from itertools import chain, combinations
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
@@ -111,7 +111,7 @@ def enumerate_vertices(system: HalfspaceSystem) -> VertexSet:
     A, b = system.arrays()
     m = len(b)
 
-    combos = np.array(list(itertools.combinations(range(m), 4)), dtype=int)
+    combos = np.fromiter(chain.from_iterable(combinations(range(m), 4)), np.intp).reshape(-1, 4)
     sub_A = A[combos]  # (K, 4, 4)
     sub_b = b[combos]  # (K, 4)
 
@@ -195,9 +195,12 @@ def in_downward_hull(
     pts = pts.reshape(0, 4) if pts.size == 0 else pts
     if pts.ndim != 2 or pts.shape[1] != 4:
         raise ValidationError("points must be a sequence of 4-vectors")
-    t = np.array([max(0.0, float(c)) for c in target], dtype=float)
+    t = np.array([float(c) for c in target], dtype=float)
     if t.shape != (4,):
         raise ValidationError("target must have exactly 4 coordinates")
+    if not (np.isfinite(pts).all() and np.isfinite(t).all()):
+        raise ValidationError("points and target must be finite")
+    t = np.where(t > 0.0, t, 0.0)
     n = len(pts)
     if n == 0:
         return False

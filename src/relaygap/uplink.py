@@ -27,7 +27,6 @@ from .bounds import link_certificate, uplink_polytope
 from .model import (
     CapacityTerms,
     GapCertificate,
-    InternalConsistencyError,
     RateTuple,
     SystemParams,
     ValidationError,
@@ -37,9 +36,6 @@ from .model import (
     lattice_layer,
     nonneg,
 )
-
-UPLINK_LABELS = ("U1", "U2", "U3", "U4", "U5", "U6")
-
 
 class Step(str, Enum):
     """One decoding stage at the relay."""
@@ -119,6 +115,7 @@ _ORDERS: Dict[str, Tuple[Step, Step, Step, Step]] = {
     "U5": (Step.G1, Step.G3, Step.LB, Step.LA),
     "U6": (Step.G3, Step.G1, Step.LB, Step.LA),
 }
+UPLINK_LABELS = tuple(_ORDERS)
 
 
 def decoding_order(label: str) -> Tuple[Step, Step, Step, Step]:
@@ -180,8 +177,9 @@ def uplink_achievable(
 class UplinkVertex:
     """One corner of the uplink region with its rate-split decomposition.
 
-    ``split`` is (R10', R11', R30', R31'): the paired and private rate
-    targets whose composition reproduces ``rates``.
+    ``split`` is (R10', R11', R30', R31'), the paired and private rate
+    targets, derived from ``rates`` = (R1, R2, R3, R4): a leader's paired
+    part runs at its partner's rate, so the split is (R2, R1 - R2, R4, R3 - R4).
     """
 
     label: str
@@ -193,7 +191,8 @@ def uplink_vertices(terms: CapacityTerms) -> List[UplinkVertex]:
     """The six corners of the uplink region targeted by the synthesis.
 
     Requires canonically ordered terms (C1 >= C2, C3 >= C4).  Each vertex
-    comes with the rate split the relay's SIC schedule is designed around.
+    comes with the rate split the relay's SIC schedule is designed around,
+    derived from its rates (`UplinkVertex`).
     """
     C = terms.C
     Cp = terms.Cpair
@@ -205,39 +204,20 @@ def uplink_vertices(terms: CapacityTerms) -> List[UplinkVertex]:
     c13, c14, c23, c24 = Cp[(1, 3)], Cp[(1, 4)], Cp[(2, 3)], Cp[(2, 4)]
 
     table = {
-        # label: (rates, split (R10', R11', R30', R31'))
-        "U1": ((c13 - c3, c23 - c3, c3, c4), (c23 - c3, c13 - c23, c4, c3 - c4)),
-        "U2": ((c1, c2, c13 - c1, c14 - c1), (c2, c1 - c2, c14 - c1, c13 - c14)),
-        "U3": (
-            (c13 - c23 + c24 - c4, c24 - c4, c23 - c24 + c4, c4),
-            (c24 - c4, c13 - c23, c4, c23 - c24),
-        ),
-        "U4": (
-            (c14 - c4, c24 - c4, c13 - c14 + c4, c4),
-            (c24 - c4, c14 - c24, c4, c13 - c14),
-        ),
-        "U5": (
-            (c13 - c23 + c2, c2, c23 - c2, c24 - c2),
-            (c2, c13 - c23, c24 - c2, c23 - c24),
-        ),
-        "U6": (
-            (c2 + c14 - c24, c2, c13 - c14 + c24 - c2, c24 - c2),
-            (c2, c14 - c24, c24 - c2, c13 - c14),
-        ),
+        "U1": (c13 - c3, c23 - c3, c3, c4),
+        "U2": (c1, c2, c13 - c1, c14 - c1),
+        "U3": (c13 - c23 + c24 - c4, c24 - c4, c23 - c24 + c4, c4),
+        "U4": (c14 - c4, c24 - c4, c13 - c14 + c4, c4),
+        "U5": (c13 - c23 + c2, c2, c23 - c2, c24 - c2),
+        "U6": (c2 + c14 - c24, c2, c13 - c14 + c24 - c2, c24 - c2),
     }
 
     out: List[UplinkVertex] = []
-    for label in UPLINK_LABELS:
-        raw_rates, raw_split = table[label]
-        rates = tuple(nonneg(v, f"{label}.rates[{k}]") for k, v in enumerate(raw_rates))
-        split = tuple(nonneg(v, f"{label}.split[{k}]") for k, v in enumerate(raw_split))
-        composed = (split[0] + split[1], split[0], split[2] + split[3], split[2])
-        for a, b in zip(composed, rates):
-            if not (geq(a, b) and geq(b, a)):
-                raise InternalConsistencyError(
-                    f"{label}: split composition {composed} != rates {rates}"
-                )
-        out.append(UplinkVertex(label=label, rates=RateTuple(rates), split=split))
+    for label, raw in table.items():
+        r1, r2, r3, r4 = (nonneg(v, f"{label}.rates[{k}]") for k, v in enumerate(raw))
+        own1 = nonneg(r1 - r2, f"{label}.split[1]")
+        own3 = nonneg(r3 - r4, f"{label}.split[3]")
+        out.append(UplinkVertex(label, RateTuple((r1, r2, r3, r4)), (r2, own1, r4, own3)))
     return out
 
 

@@ -128,6 +128,16 @@ def test_invalid_json_is_a_clean_error(tmp_path, capsys):
         code, out, err = run_main(capsys, "terms", str(bad))
         assert code == 2
         assert "not valid JSON" in err
+    # integers past float range, and past Python's int-digit limit, are valid
+    # JSON but no channel: the error names the field
+    for digits in (401, 5001):
+        obj = channel_obj()
+        obj["P"][2] = "BIG"
+        bad.write_text(json.dumps(obj).replace('"BIG"', "9" * digits))
+        code, out, err = run_main(capsys, "terms", str(bad))
+        assert code == 2
+        assert "'P[3]'" in err and "too large" in err
+        assert out == ""
 
 
 def test_missing_field_names_the_field(tmp_path, capsys):
@@ -167,6 +177,19 @@ def test_sweep_rejects_nonpositive_steps(capsys):
     )
     assert code == 2
     assert "--steps" in err
+
+
+def test_sweep_rejects_non_finite_bounds(capsys):
+    for start, stop, flag in (("1", "1e400", "--to"), ("-1e400", "2", "--from"),
+                              ("nan", "2", "--from"), ("1e308", "-1e308", "--to - --from")):
+        code, out, err = run_main(
+            capsys,
+            "sweep", str(UNIT_CHANNEL), "--param", "PR", f"--from={start}",
+            f"--to={stop}", "--steps", "3",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{flag} must be finite" in err
 
 
 def test_argparse_rejects_unknown_choices():

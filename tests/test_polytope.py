@@ -270,6 +270,14 @@ def test_target_above_hull_is_rejected():
 def test_negative_target_coordinates_are_clamped():
     pts = [(0.5, 0.5, 0.5, 0.5)]
     assert in_downward_hull(pts, (-1.0, 0.5, -2.0, 0.5))
+    # only finite negatives are clamped: NaN and infinities are errors
+    for points, target in (
+        (pts, (np.nan, 0.0, 0.0, 0.0)),
+        ([(np.nan, 0.5, 0.5, 0.5)], (0.1, 0.1, 0.1, 0.1)),
+        ([(np.inf, 0.0, 0.0, 0.0)], (1.0, 0.0, 0.0, 0.0)),
+    ):
+        with pytest.raises(ValidationError, match="must be finite"):
+            in_downward_hull(points, target)
 
 
 def test_empty_point_set_contains_nothing():

@@ -292,9 +292,23 @@ def test_vertex_splits_compose_and_stay_nonnegative():
     rng = np.random.default_rng(2024)
     for _ in range(100):
         params = canonicalize(random_channel(rng)).params
-        for v in uplink_vertices(capacity_terms(params)):
+        terms = capacity_terms(params)
+        c1, c2, c3, c4 = terms.C
+        c13, c14, c23, c24 = (terms.pair(i, j) for i, j in ((1, 3), (1, 4), (2, 3), (2, 4)))
+        # the paper's split (R10', R11', R30', R31') of each vertex, written
+        # out independently of the rates it composes to
+        paper = {
+            "U1": (c23 - c3, c13 - c23, c4, c3 - c4),
+            "U2": (c2, c1 - c2, c14 - c1, c13 - c14),
+            "U3": (c24 - c4, c13 - c23, c4, c23 - c24),
+            "U4": (c24 - c4, c14 - c24, c4, c13 - c14),
+            "U5": (c2, c13 - c23, c24 - c2, c23 - c24),
+            "U6": (c2, c14 - c24, c24 - c2, c13 - c14),
+        }
+        for v in uplink_vertices(terms):
             r10, r11, r30, r31 = v.split
             assert min(v.split) >= 0.0
+            assert v.split == pytest.approx(paper[v.label], abs=1e-12)
             assert v.rates[0] == pytest.approx(r10 + r11, abs=1e-9)
             assert v.rates[1] == pytest.approx(r10, abs=1e-9)
             assert v.rates[2] == pytest.approx(r30 + r31, abs=1e-9)

@@ -23,7 +23,7 @@ import functools
 import json
 import math
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -48,7 +48,9 @@ from .model import (
 )
 from .polytope import HalfspaceSystem, enumerate_vertices, maximal_vertices
 
-_CHANNEL_KEYS = ("h", "g", "P", "sigma2", "sigmaR2", "PR")
+#: the channel-file schema is SystemParams' own: its fields in declaration
+#: order, each mapped to whether it is one number (else an array of four)
+_CHANNEL_FIELDS = {f.name: f.type in (float, "float") for f in dataclasses.fields(SystemParams)}
 
 
 # ---------------------------------------------------------------------------
@@ -71,37 +73,36 @@ def _csv_cells(values) -> List[str]:
     return [_jnum(v).strip('"') for v in values]
 
 
-def _scalar(node) -> Optional[str]:
-    """A report leaf as JSON text; None for a dict, list or tuple."""
+#: the json module's own string encoder (what json.dumps calls for a str)
+_jstr = json.encoder.encode_basestring_ascii
+
+
+def _render(node, pad: str = "") -> str:
+    """Deterministic pretty JSON: dicts multiline, lists inline unless they
+    hold a dict or a list; floats through `_jnum`."""
     if isinstance(node, float):
         return _jnum(node)
-    if node is None or isinstance(node, (bool, int, str)):
-        return json.dumps(node)
-    if isinstance(node, (dict, list, tuple)):
-        return None
-    raise InternalConsistencyError(f"cannot render {type(node).__name__} into a report")
-
-
-def _render(node, indent: int = 0) -> str:
-    """Deterministic pretty JSON: dicts multiline, scalar lists inline."""
-    pad = "  " * indent
+    if isinstance(node, str):
+        return _jstr(node)
+    if isinstance(node, bool):
+        return "true" if node else "false"
+    if isinstance(node, int):
+        return int.__repr__(node)
+    if node is None:
+        return "null"
+    inner = pad + "  "
     if isinstance(node, dict):
         if not node:
             return "{}"
-        parts = [
-            f'{pad}  {json.dumps(str(k))}: {_render(v, indent + 1)}'
-            for k, v in node.items()
-        ]
+        parts = [f"{inner}{_jstr(k)}: {_render(v, inner)}" for k, v in node.items()]
         return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
     if isinstance(node, (list, tuple)):
         if not node:
             return "[]"
-        leaves = [_scalar(v) for v in node]
-        if None not in leaves:
-            return "[" + ", ".join(leaves) + "]"
-        parts = [f"{pad}  " + _render(v, indent + 1) for v in node]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    return _scalar(node)
+        if not any(isinstance(v, (dict, list, tuple)) for v in node):
+            return "[" + ", ".join(_render(v) for v in node) + "]"
+        return "[\n" + ",\n".join(inner + _render(v, inner) for v in node) + f"\n{pad}]"
+    raise InternalConsistencyError(f"cannot render {type(node).__name__} into a report")
 
 
 # ---------------------------------------------------------------------------
@@ -109,51 +110,53 @@ def _render(node, indent: int = 0) -> str:
 # ---------------------------------------------------------------------------
 
 
-class _IntLiteral(str):
-    """A JSON integer kept as its text, so one past float range or the int-digit
-    limit fails where its field is known; float() rounds it as it rounds an int."""
+class _Number(str):
+    """A JSON number literal, or one of the NaN / Infinity constants json.loads
+    admits, kept as its text until `_coerce_number` knows its field."""
+
+    __repr__ = str.__str__  # an error message quotes it as the file wrote it
 
 
 def _coerce_number(value, field: str) -> float:
+    """The one number rule of a channel file: a number must be finite, and the
+    string "inf" is the only way to write +inf (the unreachable-user noise)."""
     if isinstance(value, bool):
         raise ValidationError(f"field {field!r} must be a number, got a boolean")
-    if isinstance(value, (int, float, _IntLiteral)):
-        try:
-            x = float(value)
-        except OverflowError:  # an int past float range
-            x = math.inf
-        if math.isinf(x) and not isinstance(value, float):
-            raise ValidationError(f"field {field!r} is an integer too large for a float")
-        return x
     if value == "inf":
         return math.inf
-    raise ValidationError(f'field {field!r} must be a number or "inf", got {value!r}')
+    if not isinstance(value, (_Number, int, float)):
+        raise ValidationError(f'field {field!r} must be a number or "inf", got {value!r}')
+    try:
+        x = float(value)  # the text rounds as the int or float it spells would
+    except OverflowError:  # a Python int past float range
+        x = math.inf
+    if math.isnan(x):
+        raise ValidationError(f"field {field!r} is NaN; numbers must be finite")
+    if math.isinf(x):
+        raise ValidationError(f"field {field!r} is too large for a float; numbers must be finite")
+    return x
 
 
 def parse_channel(obj) -> SystemParams:
     """Turn a decoded channel-file JSON object into validated SystemParams."""
     if not isinstance(obj, dict):
         raise ValidationError("channel file must contain a JSON object")
-    for key in _CHANNEL_KEYS:
+    for key in _CHANNEL_FIELDS:
         if key not in obj:
             raise ValidationError(f"channel file is missing field {key!r}")
-    unknown = sorted(set(obj) - set(_CHANNEL_KEYS))
+    unknown = sorted(set(obj) - _CHANNEL_FIELDS.keys())
     if unknown:
         raise ValidationError(f"channel file has unknown field {unknown[0]!r}")
-    vecs: Dict[str, Tuple[float, ...]] = {}
-    for key in ("h", "g", "P", "sigma2"):
+    values = {}
+    for key, scalar in _CHANNEL_FIELDS.items():
         raw = obj[key]
-        if not isinstance(raw, list) or len(raw) != 4:
+        if scalar:
+            values[key] = _coerce_number(raw, key)
+        elif isinstance(raw, list) and len(raw) == 4:
+            values[key] = tuple(_coerce_number(v, f"{key}[{i}]") for i, v in enumerate(raw, 1))
+        else:
             raise ValidationError(f"field {key!r} must be an array of exactly 4 numbers")
-        vecs[key] = tuple(_coerce_number(v, f"{key}[{i + 1}]") for i, v in enumerate(raw))
-    return SystemParams(
-        h=vecs["h"],
-        g=vecs["g"],
-        P=vecs["P"],
-        sigma2=vecs["sigma2"],
-        sigmaR2=_coerce_number(obj["sigmaR2"], "sigmaR2"),
-        PR=_coerce_number(obj["PR"], "PR"),
-    )
+    return SystemParams(**values)
 
 
 def _load_channel(path: str) -> SystemParams:
@@ -164,7 +167,11 @@ def _load_channel(path: str) -> SystemParams:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        obj = json.loads(text, parse_int=_IntLiteral)
+        obj = json.loads(
+            text, parse_float=_Number, parse_constant=_Number,
+            # an integer has no signed zero: "-0" reads as 0, as int() reads it
+            parse_int=lambda s: _Number("0" if s == "-0" else s),
+        )
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"channel file is not valid JSON: {exc}") from exc
     return parse_channel(obj)
@@ -176,14 +183,7 @@ def _load_channel(path: str) -> SystemParams:
 
 
 def _channel_doc(p: SystemParams) -> dict:
-    return {
-        "h": list(p.h),
-        "g": list(p.g),
-        "P": list(p.P),
-        "sigma2": list(p.sigma2),
-        "sigmaR2": p.sigmaR2,
-        "PR": p.PR,
-    }
+    return {key: getattr(p, key) for key in _CHANNEL_FIELDS}
 
 
 def _terms_doc(terms: CapacityTerms) -> dict:
@@ -382,7 +382,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser untouched, so one tree serves every call
     parser = argparse.ArgumentParser(
         prog="relaygap",
         description=(
@@ -429,20 +431,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    # parse_args leaves the parser untouched, so one tree serves every call
-    return build_parser()
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalConsistencyError as exc:

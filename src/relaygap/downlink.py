@@ -101,9 +101,9 @@ def case_of_label(label: str) -> CaseLabel:
 
 def _as_sbar4(sigma_bar2) -> Tuple[float, float, float, float]:
     vals = _as_float4(sigma_bar2, "sigma_bar2")
-    for k, v in enumerate(vals):
+    for k, v in enumerate(vals, 1):
         if not v > 0.0:
-            raise ValidationError(f"sigma_bar2[{k + 1}] must be > 0 (inf allowed), got {v}")
+            raise ValidationError(f"sigma_bar2[{k}] must be > 0 (inf allowed), got {v}")
     return vals
 
 

@@ -75,7 +75,7 @@ def _as_float4(values, name: str) -> Tuple[float, float, float, float]:
         raise ValidationError(f"{name} must be a sequence of 4 reals: {exc}") from exc
     if len(out) != 4:
         raise ValidationError(f"{name} must have exactly 4 entries, got {len(out)}")
-    for k, v in enumerate(out):
+    for k, v in enumerate(out, 1):
         if math.isnan(v):
             raise ValidationError(f"{name}[{k}] is NaN")
     return out  # type: ignore[return-value]
@@ -110,21 +110,19 @@ class SystemParams:
     PR: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "h", _as_float4(self.h, "h"))
-        object.__setattr__(self, "g", _as_float4(self.g, "g"))
-        object.__setattr__(self, "P", _as_float4(self.P, "P"))
-        object.__setattr__(self, "sigma2", _as_float4(self.sigma2, "sigma2"))
+        for name in ("h", "g", "P", "sigma2"):
+            object.__setattr__(self, name, _as_float4(getattr(self, name), name))
         object.__setattr__(self, "sigmaR2", float(self.sigmaR2))
         object.__setattr__(self, "PR", float(self.PR))
 
         for name in ("h", "g", "P"):
-            for k, v in enumerate(getattr(self, name)):
+            for k, v in enumerate(getattr(self, name), 1):
                 if math.isinf(v):
                     raise ValidationError(f"{name}[{k}] must be finite")
-        for k, v in enumerate(self.P):
+        for k, v in enumerate(self.P, 1):
             if v < 0:
                 raise ValidationError(f"P[{k}] must be >= 0, got {v}")
-        for k, v in enumerate(self.sigma2):
+        for k, v in enumerate(self.sigma2, 1):
             if not v > 0:  # catches NaN as well
                 raise ValidationError(f"sigma2[{k}] must be > 0, got {v}")
         if math.isnan(self.sigmaR2) or math.isinf(self.sigmaR2) or self.sigmaR2 <= 0:

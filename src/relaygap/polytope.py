@@ -53,21 +53,21 @@ class HalfspaceSystem:
     def __init__(self, rows: Iterable[Sequence[float]]) -> None:
         coeffs: List[List[float]] = []
         rhs: List[float] = []
-        for k, entry in enumerate(rows):
+        for k, entry in enumerate(rows, 1):
             try:
                 a, b = entry
                 coeffs.append([float(v) for v in a])
                 rhs.append(float(b))
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"rows[{k}] must be ((a1,a2,a3,a4), b): {exc}") from exc
-            if len(coeffs[k]) != 4:
+            if len(coeffs[-1]) != 4:
                 raise ValidationError(f"rows[{k}] coefficient vector must have 4 entries")
 
         A = np.array(coeffs + _NONNEG_ROWS, dtype=float)
         b = np.array(rhs + [0.0] * 4)
         finite = np.isfinite(A).all(axis=1) & np.isfinite(b)
         if not finite.all():
-            raise ValidationError(f"rows[{int(finite.argmin())}] contains a non-finite value")
+            raise ValidationError(f"rows[{int(finite.argmin()) + 1}] contains a non-finite value")
         bounded = ((A > 0.0) & (A >= 0.0).all(axis=1, keepdims=True)).any(axis=0)
         if not bounded.all():
             raise ValidationError(

@@ -214,9 +214,9 @@ def uplink_vertices(terms: CapacityTerms) -> List[UplinkVertex]:
 
     out: List[UplinkVertex] = []
     for label, raw in table.items():
-        r1, r2, r3, r4 = (nonneg(v, f"{label}.rates[{k}]") for k, v in enumerate(raw))
-        own1 = nonneg(r1 - r2, f"{label}.split[1]")
-        own3 = nonneg(r3 - r4, f"{label}.split[3]")
+        r1, r2, r3, r4 = (nonneg(v, f"{label}.rates[{k}]") for k, v in enumerate(raw, 1))
+        own1 = nonneg(r1 - r2, f"{label}.split[2]")
+        own3 = nonneg(r3 - r4, f"{label}.split[4]")
         out.append(UplinkVertex(label, RateTuple((r1, r2, r3, r4)), (r2, own1, r4, own3)))
     return out
 

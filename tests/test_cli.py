@@ -87,6 +87,8 @@ def test_parse_channel_accepts_inf_noise_strings():
         (lambda o: o.update(g=[1, 1, True, 1]), "boolean"),
         (lambda o: o.update(P=[1, 1, "big", 1]), "must be a number"),
         (lambda o: o.update(PR=True), "boolean"),
+        (lambda o: o.update(P=[1, 1, -1, 1]), r"P\[3\] must be >= 0"),
+        (lambda o: o.update(sigma2=[1, 1, math.inf, 1]), r"'sigma2\[3\]' is too large"),
     ],
 )
 def test_parse_channel_rejections(mutate, message):
@@ -138,6 +140,17 @@ def test_invalid_json_is_a_clean_error(tmp_path, capsys):
         assert code == 2
         assert "'P[3]'" in err and "too large" in err
         assert out == ""
+    # numbers must be finite: "inf" is the only way to write the +inf sentinel
+    for literal, words in (("1e400", "too large"), ("-1e400", "too large"),
+                           ("Infinity", "too large"), ("NaN", "NaN")):
+        for key, slot in (("sigma2", 2), ("h", 1)):
+            obj = channel_obj()
+            obj[key][slot] = "BIG"
+            bad.write_text(json.dumps(obj).replace('"BIG"', literal))
+            code, out, err = run_main(capsys, "terms", str(bad))
+            assert code == 2
+            assert f"'{key}[{slot + 1}]'" in err and words in err
+            assert out == ""
 
 
 def test_missing_field_names_the_field(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from relaygap.certifier import verify_theorem1
+from relaygap.downlink import classify_case
 from relaygap.model import (
     PAIR_KEYS,
     CapacityTerms,
@@ -239,6 +240,22 @@ def test_rejects_bad_vector_entries(field, value):
     kwargs[field] = value
     with pytest.raises(ValidationError):
         SystemParams(**kwargs)
+
+
+def test_errors_name_entries_one_based():
+    ones = (1.0, 1.0, 1.0, 1.0)
+    with pytest.raises(ValidationError, match=r"h\[3\] is NaN"):
+        SystemParams(h=(1.0, 1.0, math.nan, 1.0), g=ones, P=ones, sigma2=ones, sigmaR2=1.0, PR=1.0)
+    with pytest.raises(ValidationError, match=r"g\[4\] must be finite"):
+        SystemParams(h=ones, g=(1.0, 1.0, 1.0, math.inf), P=ones, sigma2=ones, sigmaR2=1.0, PR=1.0)
+    with pytest.raises(ValidationError, match=r"P\[3\] must be >= 0"):
+        unit_gain(P=(1.0, 1.0, -1.0, 1.0))
+    with pytest.raises(ValidationError, match=r"sigma2\[2\] must be > 0"):
+        unit_gain(sigma2=(1.0, 0.0, 1.0, 1.0))
+    with pytest.raises(ValidationError, match=r"rates\[1\] is NaN"):
+        RateTuple((math.nan, 1.0, 1.0, 1.0))
+    with pytest.raises(ValidationError, match=r"sigma_bar2\[1\] is NaN"):
+        classify_case((math.nan, 1.0, 1.0, 1.0))
 
 
 @pytest.mark.parametrize("sigmaR2", [0.0, -1.0, math.inf, float("nan")])

@@ -59,7 +59,9 @@ from .model import (
     RateTuple,
     SystemParams,
     ValidationError,
+    _finite,
     capacity_terms,
+    received_powers,
     slack_of,
 )
 from .polytope import enumerate_vertices, in_downward_hull, maximal_vertices
@@ -200,11 +202,10 @@ def verify_theorem1(params: SystemParams) -> Theorem1Report:
 
 def _check_range(name: str, rng: Sequence[float]) -> Tuple[float, float]:
     try:
-        lo, hi = (float(v) for v in rng)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be a (lo, hi) pair: {exc}") from exc
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValidationError(f"{name} must be finite, got ({lo}, {hi})")
+        lo, hi = rng
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a (lo, hi) pair, got {rng!r}") from None
+    lo, hi = _finite(lo, name, 1), _finite(hi, name, 2)
     if lo <= 0.0:
         raise ValidationError(f"{name} lower bound must be > 0, got {lo}")
     if hi < lo:
@@ -236,9 +237,8 @@ class MonteCarloConfig:
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValidationError(f"seed must be an integer, got {self.seed!r}")
         _check_seed(self.seed)
-        object.__setattr__(self, "gain_range", _check_range("gain_range", self.gain_range))
-        object.__setattr__(self, "power_range", _check_range("power_range", self.power_range))
-        object.__setattr__(self, "noise_range", _check_range("noise_range", self.noise_range))
+        for name in ("gain_range", "power_range", "noise_range"):
+            object.__setattr__(self, name, _check_range(name, getattr(self, name)))
 
 
 def random_channel(
@@ -262,12 +262,8 @@ def random_channel(
         lo, hi = bounds
         return tuple(float(v) for v in np.exp(rng.uniform(math.log(lo), math.log(hi), n)))
 
-    h = draw(gain_range, 4)
-    g = draw(gain_range, 4)
-    P = draw(power_range, 4)
-    sigma2 = draw(noise_range, 4)
-    sigmaR2 = draw(noise_range, 1)[0]
-    PR = draw(power_range, 1)[0]
+    h, g, P, sigma2 = (draw(r, 4) for r in (gain_range, gain_range, power_range, noise_range))
+    sigmaR2, PR = draw(noise_range, 1)[0], draw(power_range, 1)[0]
     return SystemParams(h=h, g=g, P=P, sigma2=sigma2, sigmaR2=sigmaR2, PR=PR)
 
 
@@ -353,14 +349,8 @@ def _mk_targeted(sbar: Tuple[float, float, float, float], PR: float) -> SystemPa
     # with unit gains the per-user noises ARE the effective noises, and
     # P = (4,2,4,2) keeps the uplink ordering canonical, so canonicalize()
     # is the identity on these channels
-    return SystemParams(
-        h=(1.0, 1.0, 1.0, 1.0),
-        g=(1.0, 1.0, 1.0, 1.0),
-        P=(4.0, 2.0, 4.0, 2.0),
-        sigma2=sbar,
-        sigmaR2=1.0,
-        PR=PR,
-    )
+    ones = (1.0, 1.0, 1.0, 1.0)
+    return SystemParams(h=ones, g=ones, P=(4.0, 2.0, 4.0, 2.0), sigma2=sbar, sigmaR2=1.0, PR=PR)
 
 
 def targeted_channels() -> List[SystemParams]:
@@ -454,7 +444,7 @@ def _uplink_oracle(params: SystemParams, terms: CapacityTerms, n: int) -> Dict[s
     The closed-form allocation itself is appended as an extra grid point, so
     the oracle can never lose to it.
     """
-    q = [params.h[i] ** 2 * params.P[i] for i in range(4)]
+    q = received_powers(params)
     t = np.linspace(0.0, 1.0, n)
     u, v, w, x = (a.ravel() for a in np.meshgrid(t, t, t, t, indexing="ij"))
     p10 = u * min(q[0], q[1])

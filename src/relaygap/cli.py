@@ -44,6 +44,7 @@ from .model import (
     InternalConsistencyError,
     SystemParams,
     ValidationError,
+    _real,
     capacity_terms,
 )
 from .polytope import HalfspaceSystem, enumerate_vertices, maximal_vertices
@@ -88,8 +89,6 @@ def _render(node, pad: str = "") -> str:
         return "true" if node else "false"
     if isinstance(node, int):
         return int.__repr__(node)
-    if node is None:
-        return "null"
     inner = pad + "  "
     if isinstance(node, dict):
         if not node:
@@ -126,12 +125,7 @@ def _coerce_number(value, field: str) -> float:
         return math.inf
     if not isinstance(value, (_Number, int, float)):
         raise ValidationError(f'field {field!r} must be a number or "inf", got {value!r}')
-    try:
-        x = float(value)  # the text rounds as the int or float it spells would
-    except OverflowError:  # a Python int past float range
-        x = math.inf
-    if math.isnan(x):
-        raise ValidationError(f"field {field!r} is NaN; numbers must be finite")
+    x = _real(value, f"field {field!r}")  # text rounds as the int or float it spells would
     if math.isinf(x):
         raise ValidationError(f"field {field!r} is too large for a float; numbers must be finite")
     return x

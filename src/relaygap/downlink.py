@@ -37,6 +37,9 @@ from .model import (
     SystemParams,
     ValidationError,
     _as_float4,
+    _noise,
+    _power,
+    _real,
     as_case,
     capacity_terms,
     gaussian_layer,
@@ -99,14 +102,6 @@ def case_of_label(label: str) -> CaseLabel:
     return list(CaseLabel)[int(label[1]) - 1]
 
 
-def _as_sbar4(sigma_bar2) -> Tuple[float, float, float, float]:
-    vals = _as_float4(sigma_bar2, "sigma_bar2")
-    for k, v in enumerate(vals, 1):
-        if not v > 0.0:
-            raise ValidationError(f"sigma_bar2[{k}] must be > 0 (inf allowed), got {v}")
-    return vals
-
-
 def classify_case(sigma_bar2: Sequence[float]) -> CaseLabel:
     """Pick the broadcast construction family from the effective noises.
 
@@ -114,7 +109,7 @@ def classify_case(sigma_bar2: Sequence[float]) -> CaseLabel:
     ``sbar3 >= sbar4``, ``sbar4 >= sbar2``); ties between the remaining free
     comparisons resolve toward the lower-numbered case.
     """
-    s1, s2, s3, s4 = sbar = _as_sbar4(sigma_bar2)
+    s1, s2, s3, s4 = sbar = _as_float4(sigma_bar2, "sigma_bar2", _noise)
     require_noise_order(sbar, "canonical")
     if s4 >= s1:
         return CaseLabel.I
@@ -186,26 +181,17 @@ class DownlinkPowerAlloc:
     pR4: float
     scheme_id: str
 
-    def __init__(self, pR1: float, pR2: float, pR3: float, pR4: float, scheme_id: str):
-        if scheme_id not in SCHEME_IDS:
-            raise ValidationError(f"scheme_id must be one of {SCHEME_IDS}, got {scheme_id!r}")
-        vals = []
-        for name, v in (("pR1", pR1), ("pR2", pR2), ("pR3", pR3), ("pR4", pR4)):
-            v = float(v)
-            if math.isinf(v) or not geq(v, 0.0):
-                raise ValidationError(f"{name} must be a finite nonnegative power, got {v}")
-            vals.append(v if v > 0.0 else 0.0)
-        used = SCHEME_LAYERS[scheme_id]
-        if any(vals[used:]):
-            raise ValidationError(
-                f"scheme {scheme_id} uses {used} layers; the powers above pR{used} "
-                f"must be 0, got {vals[used:]}"
-            )
-        object.__setattr__(self, "pR1", vals[0])
-        object.__setattr__(self, "pR2", vals[1])
-        object.__setattr__(self, "pR3", vals[2])
-        object.__setattr__(self, "pR4", vals[3])
-        object.__setattr__(self, "scheme_id", scheme_id)
+    def __post_init__(self) -> None:
+        if self.scheme_id not in SCHEME_IDS:
+            raise ValidationError(f"scheme_id must be one of {SCHEME_IDS}, got {self.scheme_id!r}")
+        used = SCHEME_LAYERS[self.scheme_id]
+        for k, name in enumerate(("pR1", "pR2", "pR3", "pR4")):
+            v = _real(getattr(self, name), name)
+            # float dust below zero (within `geq`) is zero power
+            v = 0.0 if v <= 0.0 and geq(v, 0.0) else _power(v, name)
+            if k >= used and v:
+                raise ValidationError(f"{name} > 0 but scheme {self.scheme_id} uses {used} layers")
+            object.__setattr__(self, name, v)
 
     @property
     def total(self) -> float:
@@ -215,7 +201,8 @@ class DownlinkPowerAlloc:
 def scheme_rates(alloc: DownlinkPowerAlloc, sigma_bar2: Sequence[float]) -> RateTuple:
     """Evaluate the rate map (`scheme_map`) named by ``alloc.scheme_id`` at ``alloc``."""
     powers = (alloc.pR1, alloc.pR2, alloc.pR3, alloc.pR4)
-    return RateTuple(scheme_map(alloc.scheme_id, powers, _as_sbar4(sigma_bar2)))
+    sbar = _as_float4(sigma_bar2, "sigma_bar2", _noise)
+    return RateTuple(scheme_map(alloc.scheme_id, powers, sbar))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,9 @@ from .model import (
     RateTuple,
     SystemParams,
     ValidationError,
+    effective_noises,
     geq,
+    received_powers,
 )
 
 Perm = Tuple[int, int, int, int]
@@ -72,34 +74,33 @@ def canonicalize(params: SystemParams, rate_order: Tuple[int, int] = (1, 3)) -> 
     ValidationError
         If the rate order is malformed.
     """
-    lead_a, lead_b = rate_order
-    if lead_a not in (1, 2):
-        raise ValidationError(f"rate_order[0] must be 1 or 2, got {lead_a}")
-    if lead_b not in (3, 4):
-        raise ValidationError(f"rate_order[1] must be 3 or 4, got {lead_b}")
+    try:
+        lead_a, lead_b = rate_order
+    except (TypeError, ValueError):
+        lead_a = lead_b = None
+    if lead_a not in (1, 2) or lead_b not in (3, 4):
+        raise ValidationError(f"rate_order must be (1 or 2, 3 or 4), got {rate_order!r}")
 
     # step 1: put the requested rate leaders into slots 1 and 3
     perm = [lead_a, 3 - lead_a, lead_b, 7 - lead_b]
-    h, g, P, s2 = (
-        [seq[user - 1] for user in perm] for seq in (params.h, params.g, params.P, params.sigma2)
-    )
+    seqs = (params.h, params.g, params.P, params.sigma2)
+    seqs += (received_powers(params), effective_noises(params))
+    h, g, P, s2, q, sbar = ([seq[user - 1] for user in perm] for seq in seqs)
 
     for lead, trail in ((0, 1), (2, 3)):
         # step 2: received uplink powers must not increase along each pair;
         # shrink the offending gain (ties left untouched)
-        if h[lead] ** 2 * P[lead] < h[trail] ** 2 * P[trail]:  # so P[trail] > 0
+        if q[lead] < q[trail]:  # so P[trail] > 0
             h[trail] = abs(h[lead]) * math.sqrt(P[lead] / P[trail])
-        # step 3: downlink quality of the trailing user must not be worse than
-        # the leader's; inflate the leader's noise to match (gains untouched)
-        if g[trail] ** 2 / s2[trail] < g[lead] ** 2 / s2[lead]:
+        # step 3: the trailing user's effective noise must not be below the
+        # leader's; inflate the leader's noise to match (gains untouched)
+        if sbar[trail] > sbar[lead]:
             # a zero trailing gain is zero target quality: only infinite noise reaches it
             s2[lead] = math.inf if g[trail] == 0.0 else g[lead] ** 2 * s2[trail] / g[trail] ** 2
 
-    # step 4: order the pairs by the trailing users' effective noises
-    def bar2(i: int) -> float:
-        return s2[i] / g[i] ** 2 if g[i] != 0.0 else math.inf
-
-    pair_swapped = bar2(3) < bar2(1)
+    # step 4: order the pairs by the trailing users' effective noises (step 3
+    # never changes a trailing user's)
+    pair_swapped = sbar[3] < sbar[1]
     if pair_swapped:
         h, g, P, s2, perm = (seq[2:] + seq[:2] for seq in (h, g, P, s2, perm))
 
@@ -110,19 +111,14 @@ def canonicalize(params: SystemParams, rate_order: Tuple[int, int] = (1, 3)) -> 
 
 def _check_degraded(orig: SystemParams, eff: SystemParams, perm: Sequence[int]) -> None:
     """Every effective user must be no better off than its original self."""
+    # downlink quality is 1/sbar (0 for the +inf sentinel): geq is relative
+    # above 1, so a high-SNR user's tiny noise is still checked tightly
+    up = ("uplink power", received_powers(orig), received_powers(eff))
+    dn = ("downlink quality", *([1.0 / s for s in effective_noises(p)] for p in (orig, eff)))
     for slot, user in enumerate(perm):
-        u = user - 1
-        eff_up = eff.h[slot] ** 2 * eff.P[slot]
-        orig_up = orig.h[u] ** 2 * orig.P[u]
-        if not geq(orig_up, eff_up):
-            raise InternalConsistencyError(
-                f"canonicalization increased uplink power of user {user}: "
-                f"{eff_up} > {orig_up}"
-            )
-        eff_dn = eff.g[slot] ** 2 / eff.sigma2[slot]  # 0.0 for the +inf sentinel
-        orig_dn = orig.g[u] ** 2 / orig.sigma2[u]
-        if not geq(orig_dn, eff_dn):
-            raise InternalConsistencyError(
-                f"canonicalization improved downlink quality of user {user}: "
-                f"{eff_dn} > {orig_dn}"
-            )
+        for what, before, after in (up, dn):
+            if not geq(before[user - 1], after[slot]):
+                raise InternalConsistencyError(
+                    f"canonicalization improved {what} of user {user}: "
+                    f"{after[slot]} > {before[user - 1]}"
+                )

@@ -6,9 +6,10 @@ hops — a multiple-access uplink into the relay and a broadcast downlink out
 of it — and all rates are measured in bits per channel use (logs base 2).
 
 This module holds the shared vocabulary used everywhere else: the parameter
-record, the case labels, rate tuples, the Gaussian and lattice rate kernels
-(elementwise over floats or numpy arrays), the per-link capacity terms,
-certificate records, and the global numerical tolerances.
+record and the one rule per kind of number, the case labels, rate tuples, the
+Gaussian and lattice rate kernels (elementwise over floats or numpy arrays),
+the received powers and effective noises (the only spelling of either), the
+per-link capacity terms, certificate records, and the numerical tolerances.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, Tuple, Union
 
 import numpy as np
 
@@ -68,17 +69,66 @@ def as_case(case) -> CaseLabel:
         raise ValidationError(f"case must be one of I/II/III, got {value!r}") from None
 
 
-def _as_float4(values, name: str) -> Tuple[float, float, float, float]:
+#: an argument's name, or a ``(template, i)`` pair formatted only when raising
+_Name = Union[str, Tuple[str, int]]
+
+
+def _entry(name: _Name, k) -> str:
+    if not isinstance(name, str):
+        name = name[0].format(name[1])
+    return name if k is None else f"{name}[{k}]"
+
+
+def _real(x, name: _Name, k=None) -> float:
+    """The one real-number conversion: a non-number or NaN is a ValidationError
+    naming ``name`` (``name[k]`` for entry k, built only when raising)."""
     try:
-        out = tuple(float(v) for v in values)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be a sequence of 4 reals: {exc}") from exc
-    if len(out) != 4:
-        raise ValidationError(f"{name} must have exactly 4 entries, got {len(out)}")
-    for k, v in enumerate(out, 1):
-        if math.isnan(v):
-            raise ValidationError(f"{name}[{k}] is NaN")
-    return out  # type: ignore[return-value]
+        v = float(x)
+    except OverflowError:  # an int past float range
+        raise ValidationError(f"{_entry(name, k)} is too large for a float") from None
+    except (TypeError, ValueError):
+        raise ValidationError(f"{_entry(name, k)} must be a real number, got {x!r}") from None
+    if v != v:
+        raise ValidationError(f"{_entry(name, k)} is NaN; numbers must be finite")
+    return v
+
+
+def _finite(x, name: _Name, k=None) -> float:
+    """A real number that is not infinite (a gain, or the relay noise)."""
+    v = _real(x, name, k)
+    if math.isinf(v):
+        raise ValidationError(f"{_entry(name, k)} must be finite, got {v}")
+    return v
+
+
+def _power(x, name: _Name, k=None) -> float:
+    """The one power rule: finite and >= 0."""
+    v = _finite(x, name, k)
+    if v < 0.0:
+        raise ValidationError(f"{_entry(name, k)} must be >= 0, got {v}")
+    return v
+
+
+def _noise(x, name: _Name, k=None) -> float:
+    """The one noise rule: > 0, with +inf admitted (a user nobody reaches)."""
+    v = _real(x, name, k)
+    if not v > 0.0:
+        raise ValidationError(f"{_entry(name, k)} must be > 0, got {v}")
+    return v
+
+
+def _as_float4(values, name: _Name, rule=_real) -> Tuple[float, float, float, float]:
+    """Four numbers, each through ``rule``; entry k is named ``name[k]``, 1-based."""
+    try:
+        vals = tuple(values)
+    except TypeError:
+        raise ValidationError(
+            f"{_entry(name, None)} must be a sequence of 4 reals, got {values!r}"
+        ) from None
+    if len(vals) != 4:
+        raise ValidationError(f"{_entry(name, None)} must have exactly 4 entries, got {len(vals)}")
+    a, b, c, d = vals
+    return rule(a, name, 1), rule(b, name, 2), rule(c, name, 3), rule(d, name, 4)
 
 
 @dataclass(frozen=True)
@@ -110,25 +160,21 @@ class SystemParams:
     PR: float
 
     def __post_init__(self) -> None:
-        for name in ("h", "g", "P", "sigma2"):
-            object.__setattr__(self, name, _as_float4(getattr(self, name), name))
-        object.__setattr__(self, "sigmaR2", float(self.sigmaR2))
-        object.__setattr__(self, "PR", float(self.PR))
-
-        for name in ("h", "g", "P"):
-            for k, v in enumerate(getattr(self, name), 1):
-                if math.isinf(v):
-                    raise ValidationError(f"{name}[{k}] must be finite")
-        for k, v in enumerate(self.P, 1):
-            if v < 0:
-                raise ValidationError(f"P[{k}] must be >= 0, got {v}")
-        for k, v in enumerate(self.sigma2, 1):
-            if not v > 0:  # catches NaN as well
-                raise ValidationError(f"sigma2[{k}] must be > 0, got {v}")
-        if math.isnan(self.sigmaR2) or math.isinf(self.sigmaR2) or self.sigmaR2 <= 0:
-            raise ValidationError(f"sigmaR2 must be positive and finite, got {self.sigmaR2}")
-        if math.isnan(self.PR) or math.isinf(self.PR) or self.PR < 0:
-            raise ValidationError(f"PR must be >= 0 and finite, got {self.PR}")
+        for name, rule in (("h", _finite), ("g", _finite), ("P", _power), ("sigma2", _noise)):
+            object.__setattr__(self, name, _as_float4(getattr(self, name), name, rule))
+        object.__setattr__(self, "sigmaR2", _noise(_finite(self.sigmaR2, "sigmaR2"), "sigmaR2"))
+        object.__setattr__(self, "PR", _power(self.PR, "PR"))
+        # the derived quantities must be floats too (g = 0 and sigma2 = +inf
+        # stay the sentinels they are): no overflow, no underflow to zero
+        for k, g in enumerate(self.g, 1):
+            if g != 0.0 and not 0.0 < g * g < math.inf:
+                raise ValidationError(f"g[{k}] squared leaves float range, got {g}")
+        for k, (q, sbar) in enumerate(zip(received_powers(self), effective_noises(self)), 1):
+            if not q < math.inf:  # inf, or NaN from inf * 0
+                raise ValidationError(f"received power h[{k}]*h[{k}]*P[{k}] overflows a float")
+            if sbar == 0.0:
+                msg = f"effective noise sigma2[{k}]/(g[{k}]*g[{k}]) underflows to 0"
+                raise ValidationError(msg)
 
 
 @dataclass(frozen=True)
@@ -236,12 +282,18 @@ def lattice_layer(p, interference, noise):
     return half_log2_rate(0.5 + p / (interference + noise), floor=0.0)
 
 
+def received_powers(params: SystemParams) -> Tuple[float, ...]:
+    """Each user's received uplink power h_i*h_i*P_i."""
+    return tuple([h * h * p for h, p in zip(params.h, params.P)])
+
+
+def effective_noises(params: SystemParams) -> Tuple[float, ...]:
+    """Each user's effective downlink noise sigma2_i/(g_i*g_i), +inf when g_i == 0."""
+    return tuple([s / (g * g) if g != 0.0 else math.inf for g, s in zip(params.g, params.sigma2)])
+
+
 def capacity_terms(params: SystemParams) -> CapacityTerms:
     """Compute all single-hop capacity terms for one channel.
-
-    Parameters
-    ----------
-    params : SystemParams
 
     Returns
     -------
@@ -251,19 +303,12 @@ def capacity_terms(params: SystemParams) -> CapacityTerms:
         C_ij = 1/2 log2(1 + (h_i^2 P_i + h_j^2 P_j) / sigmaR2) for the four
         cross pairs, and the effective downlink noises sigma2_i / g_i^2.
     """
-    h, g, P, s2 = params.h, params.g, params.P, params.sigma2
-    sR2, PR = params.sigmaR2, params.PR
-
-    C = tuple(gaussian_layer(h[i] * h[i] * P[i], 0.0, sR2) for i in range(4))
+    g, s2, sR2, PR = params.g, params.sigma2, params.sigmaR2, params.PR
+    q = received_powers(params)
+    C = tuple(gaussian_layer(x, 0.0, sR2) for x in q)
     D = tuple(gaussian_layer(g[i] * g[i] * PR, 0.0, s2[i]) for i in range(4))
-    Cpair = {
-        (i, j): gaussian_layer(h[i - 1] ** 2 * P[i - 1] + h[j - 1] ** 2 * P[j - 1], 0.0, sR2)
-        for (i, j) in PAIR_KEYS
-    }
-    sigma_bar2 = tuple(
-        (s2[i] / (g[i] * g[i])) if g[i] != 0.0 else math.inf for i in range(4)
-    )
-    return CapacityTerms(C=C, D=D, Cpair=Cpair, sigma_bar2=sigma_bar2)
+    Cpair = {(i, j): gaussian_layer(q[i - 1] + q[j - 1], 0.0, sR2) for (i, j) in PAIR_KEYS}
+    return CapacityTerms(C=C, D=D, Cpair=Cpair, sigma_bar2=effective_noises(params))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ from .model import (
     InternalConsistencyError,
     RateTuple,
     ValidationError,
+    _as_float4,
+    _finite,
 )
 
 Row = Tuple[Tuple[float, float, float, float], float]
@@ -51,23 +53,19 @@ class HalfspaceSystem:
     n_user_rows: int
 
     def __init__(self, rows: Iterable[Sequence[float]]) -> None:
-        coeffs: List[List[float]] = []
+        coeffs: List[Sequence[float]] = []
         rhs: List[float] = []
         for k, entry in enumerate(rows, 1):
             try:
                 a, b = entry
-                coeffs.append([float(v) for v in a])
-                rhs.append(float(b))
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"rows[{k}] must be ((a1,a2,a3,a4), b): {exc}") from exc
-            if len(coeffs[-1]) != 4:
-                raise ValidationError(f"rows[{k}] coefficient vector must have 4 entries")
+            except (TypeError, ValueError):
+                msg = f"rows[{k}] must be ((a1,a2,a3,a4), b), got {entry!r}"
+                raise ValidationError(msg) from None
+            coeffs.append(_as_float4(a, ("rows[{}].a", k), _finite))
+            rhs.append(_finite(b, ("rows[{}].b", k)))
 
         A = np.array(coeffs + _NONNEG_ROWS, dtype=float)
         b = np.array(rhs + [0.0] * 4)
-        finite = np.isfinite(A).all(axis=1) & np.isfinite(b)
-        if not finite.all():
-            raise ValidationError(f"rows[{int(finite.argmin()) + 1}] contains a non-finite value")
         bounded = ((A > 0.0) & (A >= 0.0).all(axis=1, keepdims=True)).any(axis=0)
         if not bounded.all():
             raise ValidationError(
@@ -169,10 +167,7 @@ def maximal_vertices(vs: VertexSet) -> List[RateTuple]:
 def contains(system: HalfspaceSystem, point: Sequence[float], tol: float = TIGHT_TOL) -> bool:
     """True when the point satisfies every row of the system within tol."""
     A, b = system.arrays()
-    x = np.array([float(c) for c in point], dtype=float)
-    if x.shape != (4,):
-        raise ValidationError("point must have exactly 4 coordinates")
-    return bool((A @ x <= b + tol).all())
+    return bool((A @ np.array(_as_float4(point, "point")) <= b + tol).all())
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +186,9 @@ def in_downward_hull(
     tol: float = TIGHT_TOL,
 ) -> bool:
     """Decide whether target is dominated by a convex combination of points."""
-    pts = np.array([[float(c) for c in p] for p in points], dtype=float)
-    pts = pts.reshape(0, 4) if pts.size == 0 else pts
-    if pts.ndim != 2 or pts.shape[1] != 4:
-        raise ValidationError("points must be a sequence of 4-vectors")
-    t = np.array([float(c) for c in target], dtype=float)
-    if t.shape != (4,):
-        raise ValidationError("target must have exactly 4 coordinates")
-    if not (np.isfinite(pts).all() and np.isfinite(t).all()):
-        raise ValidationError("points and target must be finite")
+    rows = [_as_float4(p, ("points[{}]", k), _finite) for k, p in enumerate(points, 1)]
+    pts = np.array(rows, dtype=float).reshape(-1, 4)
+    t = np.array(_as_float4(target, "target", _finite))
     t = np.where(t > 0.0, t, 0.0)
     n = len(pts)
     if n == 0:

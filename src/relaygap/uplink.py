@@ -18,7 +18,6 @@ interference.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -30,11 +29,14 @@ from .model import (
     RateTuple,
     SystemParams,
     ValidationError,
+    _noise,
+    _power,
     capacity_terms,
     gaussian_layer,
     geq,
     lattice_layer,
     nonneg,
+    received_powers,
 )
 
 class Step(str, Enum):
@@ -46,24 +48,18 @@ class Step(str, Enum):
     LB = "LB"
 
 
-def _check_rate_inputs(p: float, interference: float, sigma2: float) -> None:
-    for name, v in (("p", p), ("interference", interference)):
-        if not (math.isfinite(v) and v >= 0):
-            raise ValidationError(f"{name} must be a finite power >= 0, got {v}")
-    if not sigma2 > 0:
-        raise ValidationError(f"sigma2 must be > 0, got {sigma2}")
-
-
 def gaussian_rate(p: float, interference: float, sigma2: float) -> float:
     """Decoding rate of a Gaussian codeword of power p under given interference."""
-    _check_rate_inputs(p, interference, sigma2)
-    return gaussian_layer(p, interference, sigma2)
+    return gaussian_layer(
+        _power(p, "p"), _power(interference, "interference"), _noise(sigma2, "sigma2")
+    )
 
 
 def lattice_rate(p: float, interference: float, sigma2: float) -> float:
     """Decoding rate of one lattice-pair codeword: 1/2 [log2(1/2 + SNR)]+."""
-    _check_rate_inputs(p, interference, sigma2)
-    return lattice_layer(p, interference, sigma2)
+    return lattice_layer(
+        _power(p, "p"), _power(interference, "interference"), _noise(sigma2, "sigma2")
+    )
 
 
 @dataclass(frozen=True)
@@ -77,9 +73,7 @@ class UplinkPowerAlloc:
 
     def __post_init__(self) -> None:
         for name in ("p10", "p11", "p30", "p31"):
-            v = getattr(self, name)
-            if not (v >= 0 and math.isfinite(v)):
-                raise ValidationError(f"{name} must be finite and >= 0, got {v}")
+            object.__setattr__(self, name, _power(getattr(self, name), name))
 
 
 def uplink_power_alloc(params: SystemParams) -> UplinkPowerAlloc:
@@ -92,7 +86,7 @@ def uplink_power_alloc(params: SystemParams) -> UplinkPowerAlloc:
         p10 = h2^2 P2 / 2      p11 = h1^2 P1 - h2^2 P2
         p30 = h4^2 P4 / 2      p31 = h3^2 P3 - h4^2 P4
     """
-    q = [params.h[i] ** 2 * params.P[i] for i in range(4)]
+    q = received_powers(params)
     for lead, trail in ((0, 1), (2, 3)):
         if not geq(q[lead], q[trail]):
             raise ValidationError(
@@ -165,10 +159,9 @@ def uplink_achievable(
 ) -> UplinkSplitRates:
     """Evaluate the SIC chain (`sic_rates`) for one decoding order."""
     steps = tuple(order)
-    if sorted(s.value for s in steps) != sorted(s.value for s in Step):
+    if not all(isinstance(s, Step) for s in steps) or sorted(steps) != sorted(Step):
         raise ValidationError(f"order must be a permutation of G1/G3/LA/LB, got {steps}")
-    if not sigmaR2 > 0:
-        raise ValidationError(f"sigmaR2 must be > 0, got {sigmaR2}")
+    sigmaR2 = _noise(sigmaR2, "sigmaR2")
     (rates,) = sic_rates(alloc.p10, alloc.p11, alloc.p30, alloc.p31, (steps,), sigmaR2)
     return UplinkSplitRates(*rates)
 

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import relaygap.certifier as certifier
 from relaygap.bounds import outer_bound
 from relaygap.certifier import (
     ORDERINGS,
@@ -20,8 +22,8 @@ from relaygap.downlink import (
     downlink_vertices,
 )
 from relaygap.effective import canonicalize
-from relaygap.model import SystemParams, ValidationError, capacity_terms
-from relaygap.polytope import enumerate_vertices, maximal_vertices
+from relaygap.model import RateTuple, SystemParams, ValidationError, capacity_terms
+from relaygap.polytope import enumerate_vertices, in_downward_hull, maximal_vertices
 from relaygap.uplink import uplink_vertices
 
 import oracles
@@ -99,6 +101,44 @@ def test_passed_flag_aggregates_every_certificate():
         assert report.passed  # the half-bit guarantee itself
 
 
+def test_failing_combined_corner_reports_its_largest_scale_in_both_hulls(monkeypatch):
+    # halving every achieved downlink tuple pulls some pushed-in targets out
+    # of the downlink hull, so the bisection for the largest scale runs
+    real = certifier.downlink_certificate
+
+    def halved(params):
+        return [
+            dataclasses.replace(c, achieved=RateTuple([0.5 * r for r in c.achieved]))
+            for c in real(params)
+        ]
+
+    monkeypatch.setattr(certifier, "downlink_certificate", halved)
+    report = verify_theorem1(strong_channel())
+    assert not report.passed
+
+    def pool(link):
+        # achieved points of every ordering, columns in original user order
+        return np.vstack([
+            np.array([c.achieved.rates for c in getattr(rep, link)])[:, np.argsort(rep.perm)]
+            for rep in report.orderings
+        ])
+
+    up, dn = pool("uplink"), pool("downlink")
+    failing = [c for c in report.combined if not c.passed]
+    assert failing
+    for c in failing:
+        assert c.subcase == "uplink_hull=in,downlink_hull=out"
+        target = np.maximum(0.0, np.array(c.target.rates) - 0.5)
+        k = int(target.argmax())
+        beta = c.achieved[k] / target[k]
+        assert 0.0 <= beta < 1.0
+        # membership as the certificate judges it (fast path, then the LP)
+        point = np.array(c.achieved.rates)
+        assert certifier._in_hull(up, point) and certifier._in_hull(dn, point)
+        assert not certifier._in_hull(dn, (beta + 1e-6) * target)
+        assert not in_downward_hull(dn, (beta + 1e-6) * target)
+
+
 def test_verification_is_deterministic():
     params = random_channel(314)
     assert verify_theorem1(params) == verify_theorem1(params)
@@ -137,6 +177,8 @@ def test_random_channel_rejects_bad_ranges():
         random_channel(1, power_range=(5.0, 1.0))
     with pytest.raises(ValidationError):
         random_channel(1, noise_range=(1.0, math.inf))
+    with pytest.raises(ValidationError, match=r"gain_range\[2\] is too large"):
+        random_channel(1, gain_range=(1, 10**400))
     with pytest.raises(ValidationError):
         random_channel(-1)
 

@@ -89,6 +89,9 @@ def test_parse_channel_accepts_inf_noise_strings():
         (lambda o: o.update(PR=True), "boolean"),
         (lambda o: o.update(P=[1, 1, -1, 1]), r"P\[3\] must be >= 0"),
         (lambda o: o.update(sigma2=[1, 1, math.inf, 1]), r"'sigma2\[3\]' is too large"),
+        (lambda o: o.update(P=[1, 1, 10**400, 1]), r"'P\[3\]' is too large"),
+        (lambda o: o.update(h=[1e200, 1, 1, 1]), r"h\[1\]\*h\[1\]\*P\[1\] overflows"),
+        (lambda o: o.update(g=[1e-200, 1, 1, 1]), r"g\[1\] squared leaves float range"),
     ],
 )
 def test_parse_channel_rejections(mutate, message):
@@ -292,6 +295,15 @@ def test_vertices_documents(capsys):
     assert doc["case"] in ("I", "II", "III")
     assert doc["rateOrder"] == [1, 3]
     assert sorted(doc["perm"]) == [1, 2, 3, 4]
+
+    code, out, _ = run_main(capsys, "vertices", str(MIXED_CHANNEL), "--link", "uplink")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["link"] == "uplink"
+    assert doc["rateOrder"] == [1, 3]
+    assert sorted(doc["perm"]) == [1, 2, 3, 4]
+    assert all(len(v["rates"]) == 4 and len(v["tight"]) >= 4 for v in doc["vertices"])
+    assert any(v["maximal"] for v in doc["vertices"])
 
 
 def test_certify_json_document(capsys, tmp_path):

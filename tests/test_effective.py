@@ -154,7 +154,7 @@ def test_rate_order_places_leaders_in_slots_one_and_three():
     assert {eff.perm[1], eff.perm[3]} == {1, 3}
 
 
-@pytest.mark.parametrize("order", [(3, 1), (0, 3), (1, 2), (2, 2), (1, 5)])
+@pytest.mark.parametrize("order", [(3, 1), (0, 3), (1, 2), (2, 2), (1, 5), None, (1,)])
 def test_invalid_rate_orders_are_rejected(order):
     with pytest.raises(ValidationError):
         canonicalize(unit_gain(), rate_order=order)
@@ -234,6 +234,10 @@ def test_improved_effective_channel_is_an_internal_fault():
     with pytest.raises(InternalConsistencyError, match="downlink quality of user 4"):
         _check_degraded(params, quieter_downlink, (1, 2, 3, 4))
     _check_degraded(params, params, (1, 2, 3, 4))
+    # a high-SNR user whose effective noise halves from 1e-12 is caught too
+    loud = dataclasses.replace(params, g=(1e6, 1.0, 1.0, 1.0), sigma2=(1.0, 1.0, 1.0, 1.0))
+    with pytest.raises(InternalConsistencyError, match="downlink quality of user 1"):
+        _check_degraded(loud, dataclasses.replace(loud, sigma2=(0.5, 1.0, 1.0, 1.0)), (1, 2, 3, 4))
 
 
 def test_capacity_terms_degrade_componentwise():

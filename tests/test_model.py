@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from relaygap.bounds import outer_bound
 from relaygap.certifier import verify_theorem1
-from relaygap.downlink import classify_case
+from relaygap.downlink import DownlinkPowerAlloc, classify_case
 from relaygap.model import (
     PAIR_KEYS,
     CapacityTerms,
@@ -23,6 +24,14 @@ from relaygap.model import (
     lattice_layer,
     nonneg,
     slack_of,
+)
+from relaygap.polytope import contains, in_downward_hull
+from relaygap.uplink import (
+    UplinkPowerAlloc,
+    decoding_order,
+    gaussian_rate,
+    lattice_rate,
+    uplink_achievable,
 )
 
 from conftest import assert_elementwise_parity, unit_gain
@@ -226,6 +235,10 @@ def test_infinite_receiver_noise_is_admitted():
         ("sigma2", (0.0, 1.0, 1.0, 1.0)),
         ("sigma2", (-1.0, 1.0, 1.0, 1.0)),
         ("sigma2", (float("nan"), 1.0, 1.0, 1.0)),
+        # squares and received powers must stay floats as well
+        ("h", (1e200, 1.0, 1.0, 1.0)),
+        ("g", (1e-200, 1.0, 1.0, 1.0)),
+        ("g", (1e200, 1.0, 1.0, 1.0)),
     ],
 )
 def test_rejects_bad_vector_entries(field, value):
@@ -256,6 +269,53 @@ def test_errors_name_entries_one_based():
         RateTuple((math.nan, 1.0, 1.0, 1.0))
     with pytest.raises(ValidationError, match=r"sigma_bar2\[1\] is NaN"):
         classify_case((math.nan, 1.0, 1.0, 1.0))
+    big = (1.0, 1e200, 1.0, 1.0)
+    with pytest.raises(ValidationError, match=r"h\[2\]\*h\[2\]\*P\[2\] overflows"):
+        SystemParams(h=big, g=ones, P=ones, sigma2=ones, sigmaR2=1.0, PR=1.0)
+    with pytest.raises(ValidationError, match=r"h\[2\]\*h\[2\]\*P\[2\] overflows"):
+        SystemParams(h=big, g=ones, P=(1.0, 0.0, 1.0, 1.0), sigma2=ones, sigmaR2=1.0, PR=1.0)
+    with pytest.raises(ValidationError, match=r"g\[3\] squared leaves float range"):
+        SystemParams(h=ones, g=(1.0, 1.0, 1e-200, 1.0), P=ones, sigma2=ones, sigmaR2=1.0, PR=1.0)
+    with pytest.raises(ValidationError, match=r"sigma2\[1\]/\(g\[1\]\*g\[1\]\) underflows"):
+        SystemParams(h=ones, g=(1e100, 1.0, 1.0, 1.0), P=ones, sigma2=(1e-300, 1.0, 1.0, 1.0),
+                     sigmaR2=1.0, PR=1.0)
+    # the sentinels stay admissible: g = 0, and sigma2 = +inf beside any gain
+    SystemParams(h=ones, g=(0.0, 1e-150, 1.0, 1.0), P=ones, sigma2=(1.0, math.inf, 1.0, 1.0),
+                 sigmaR2=1.0, PR=1.0)
+
+
+_ALLOC = UplinkPowerAlloc(1.0, 1.0, 1.0, 1.0)
+_ONES = (1.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: SystemParams(_ONES, _ONES, _ONES, _ONES, None, 1.0), "sigmaR2"),
+        (lambda: SystemParams(_ONES, _ONES, _ONES, _ONES, [1.0], 1.0), "sigmaR2"),
+        (lambda: SystemParams(_ONES, _ONES, _ONES, _ONES, "x", 1.0), "sigmaR2"),
+        (lambda: SystemParams(_ONES, _ONES, _ONES, _ONES, 1.0, 10**400), "PR"),
+        (lambda: UplinkPowerAlloc(None, 1, 1, 1), "p10"),
+        (lambda: gaussian_rate("x", 0, 1), "p"),
+        (lambda: lattice_rate(1, 0, None), "sigma2"),
+        (lambda: uplink_achievable(_ALLOC, decoding_order("U1"), None), "sigmaR2"),
+        (lambda: DownlinkPowerAlloc(None, 0, 0, 0, "4.1"), "pR1"),
+        (lambda: DownlinkPowerAlloc("x", 0, 0, 0, "4.1"), "pR1"),
+        (lambda: contains(outer_bound(capacity_terms(unit_gain())), "abcd"), r"point\[1\]"),
+        (lambda: in_downward_hull([[1, 2, 3, 4], [1, 2]], [0, 0, 0, 0]), r"points\[2\]"),
+    ],
+    ids=[
+        "sigmaR2-None", "sigmaR2-list", "sigmaR2-str", "PR-huge-int", "UplinkPowerAlloc",
+        "gaussian_rate", "lattice_rate", "uplink_achievable", "DownlinkPowerAlloc-None",
+        "DownlinkPowerAlloc-str", "contains", "in_downward_hull",
+    ],
+)
+def test_malformed_numbers_are_validation_errors_naming_the_argument(call, named):
+    # a non-number, an int past float range or a list where a number belongs
+    # is a ValidationError that names the argument, never a bare TypeError,
+    # ValueError or OverflowError
+    with pytest.raises(ValidationError, match=rf"^{named} "):
+        call()
 
 
 @pytest.mark.parametrize("sigmaR2", [0.0, -1.0, math.inf, float("nan")])

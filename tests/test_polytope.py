@@ -90,6 +90,7 @@ def test_mixed_sign_row_does_not_certify_boundedness():
         [((1.0, float("inf"), 1.0, 1.0), 1.0)],
         [((1.0, 1.0, 1.0, 1.0), float("nan"))],
         ["not a row"],
+        [((1.0, 1.0, 1.0, 1.0), 10**400)],
     ],
 )
 def test_malformed_rows_are_rejected(rows):

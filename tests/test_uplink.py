@@ -213,6 +213,9 @@ def test_sic_rejects_non_permutations():
         uplink_achievable(alloc, (Step.G1, Step.LA, Step.LB), sigmaR2=1.0)
     with pytest.raises(ValidationError):
         uplink_achievable(alloc, decoding_order("U1"), sigmaR2=0.0)
+    # the step names as plain strings are no Steps
+    with pytest.raises(ValidationError, match="permutation"):
+        uplink_achievable(alloc, ["G1", "LA", "G3", "LB"], sigmaR2=1.0)
 
 
 def test_sic_chain_matches_on_floats_and_arrays_for_every_order(bitwise):

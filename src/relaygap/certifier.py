@@ -421,18 +421,42 @@ class BruteForceReport:
     rows: Tuple[OracleRow, ...]
 
 
+#: grid columns per block of `_keep_best`: two (vertices, block) float buffers
+#: stay in cache, while a block still amortizes the per-call numpy overhead
+_FOLD_BLOCK = 8192
+
+
 def _keep_best(
-    best: Dict[str, Tuple[float, RateTuple]], vertices: Sequence, R: np.ndarray
+    best: Dict[str, Tuple[float, RateTuple]], vertices: Sequence, rows: Sequence[np.ndarray]
 ) -> None:
-    """Fold one (4, N) grid of achieved rates into ``best``: per vertex label,
-    the lowest max-component slack seen so far and the rate tuple attaining it."""
-    for vertex in vertices:
-        V = np.array(list(vertex.rates), dtype=float)
-        slack = (V[:, None] - R).max(axis=0)
-        idx = int(slack.argmin())
-        value = float(slack[idx])
-        if vertex.label not in best or value < best[vertex.label][0]:
-            best[vertex.label] = (value, RateTuple(tuple(float(c) for c in R[:, idx])))
+    """Fold one grid of achieved rates, four (N,) per-user rows, into ``best``:
+    per vertex label, the lowest max-component slack seen so far and the rate
+    tuple attaining it.
+
+    All vertices are reduced together, block by block, in two reused buffers.
+    Every slack is the same float subtraction and four-way max as on the whole
+    grid, and a later column, block or call replaces the best only when
+    strictly lower, so the first minimiser wins exactly as one argmin would.
+    """
+    V = np.array([vertex.rates for vertex in vertices], dtype=float)
+    n = len(rows[0])
+    slack, term = np.empty((len(V), _FOLD_BLOCK)), np.empty((len(V), _FOLD_BLOCK))
+    value, index = np.full(len(V), math.inf), np.zeros(len(V), dtype=np.intp)
+    every = np.arange(len(V))
+    for start in range(0, n, _FOLD_BLOCK):
+        stop = min(start + _FOLD_BLOCK, n)
+        block, part = slack[:, : stop - start], term[:, : stop - start]
+        np.subtract(V[:, :1], rows[0][start:stop], out=block)
+        for c in range(1, 4):
+            np.maximum(block, np.subtract(V[:, c : c + 1], rows[c][start:stop], out=part), out=block)
+        arg = block.argmin(axis=1)
+        low = block[every, arg]
+        better = low < value
+        value[better] = low[better]
+        index[better] = arg[better] + start
+    for vertex, v, idx in zip(vertices, value.tolist(), index.tolist()):
+        if vertex.label not in best or v < best[vertex.label][0]:
+            best[vertex.label] = (v, RateTuple(tuple(float(row[idx]) for row in rows)))
 
 
 def _uplink_oracle(params: SystemParams, terms: CapacityTerms, n: int) -> Dict[str, Tuple[float, RateTuple]]:
@@ -462,7 +486,7 @@ def _uplink_oracle(params: SystemParams, terms: CapacityTerms, n: int) -> Dict[s
     best: Dict[str, Tuple[float, RateTuple]] = {}
     orders = itertools.permutations((Step.G1, Step.G3, Step.LA, Step.LB))
     for r10, r11, r30, r31 in sic_rates(p10, p11, p30, p31, orders, params.sigmaR2):
-        _keep_best(best, vertices, np.stack([r10 + r11, r10, r30 + r31, r30]))
+        _keep_best(best, vertices, (r10 + r11, r10, r30 + r31, r30))
     return best
 
 
@@ -501,7 +525,7 @@ def _downlink_oracle(
     best: Dict[str, Tuple[float, RateTuple]] = {}
     grids = _downlink_grids(case, params.PR, terms.sigma_bar2, [v.label for v in vertices], n)
     for scheme, pools in grids.items():
-        _keep_best(best, vertices, np.stack(scheme_map(scheme, pools, terms.sigma_bar2)))
+        _keep_best(best, vertices, scheme_map(scheme, pools, terms.sigma_bar2))
     return best
 
 

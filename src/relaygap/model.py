@@ -169,12 +169,24 @@ class SystemParams:
         for k, g in enumerate(self.g, 1):
             if g != 0.0 and not 0.0 < g * g < math.inf:
                 raise ValidationError(f"g[{k}] squared leaves float range, got {g}")
-        for k, (q, sbar) in enumerate(zip(received_powers(self), effective_noises(self)), 1):
-            if not q < math.inf:  # inf, or NaN from inf * 0
+        q, sR2, PR = received_powers(self), self.sigmaR2, self.PR
+        for k, (g, s2, sbar) in enumerate(zip(self.g, self.sigma2, effective_noises(self)), 1):
+            if not q[k - 1] < math.inf:  # inf, or NaN from inf * 0
                 raise ValidationError(f"received power h[{k}]*h[{k}]*P[{k}] overflows a float")
             if sbar == 0.0:
                 msg = f"effective noise sigma2[{k}]/(g[{k}]*g[{k}]) underflows to 0"
                 raise ValidationError(msg)
+            # so must every SNR a capacity term takes the log of, spelled as
+            # `capacity_terms` spells it (inf/inf is NaN and fails the test too)
+            if not q[k - 1] / sR2 < math.inf:
+                raise ValidationError(f"uplink SNR h[{k}]*h[{k}]*P[{k}]/sigmaR2 overflows a float")
+            if not g * g * PR / s2 < math.inf:
+                msg = f"downlink SNR g[{k}]*g[{k}]*PR/sigma2[{k}] overflows a float"
+                raise ValidationError(msg)
+        for i, j in PAIR_KEYS:
+            if not (q[i - 1] + q[j - 1]) / sR2 < math.inf:
+                pair = f"h[{i}]*h[{i}]*P[{i}]+h[{j}]*h[{j}]*P[{j}]"
+                raise ValidationError(f"uplink SNR ({pair})/sigmaR2 overflows a float")
 
 
 @dataclass(frozen=True)

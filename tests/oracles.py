@@ -14,7 +14,7 @@ from mpmath import mp, mpf
 
 from relaygap.downlink import alloc_for_vertex, classify_case, downlink_vertices
 from relaygap.effective import canonicalize
-from relaygap.model import capacity_terms
+from relaygap.model import RateTuple, capacity_terms
 from relaygap.uplink import decoding_order, uplink_power_alloc, uplink_vertices
 
 Point = Tuple[float, float, float, float]
@@ -310,3 +310,25 @@ def designated_slacks(params) -> Dict[str, float]:
             achieved = _mp_downlink(dn_alloc, terms.sigma_bar2)
             out[vertex.label] = float(max(mpf(t) - a for t, a in zip(vertex.rates, achieved)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# whole-grid slack fold
+#
+# `certifier._keep_best` folds a rate grid block by block; this is the
+# one-shot fold it replaced, one (4, N) temporary and one argmin per vertex.
+# ---------------------------------------------------------------------------
+
+
+def reference_keep_best(best, vertices, rows) -> None:
+    """Fold four (N,) per-user rate rows into ``best``: per vertex label, the
+    lowest max-component slack seen so far and the rate tuple attaining it
+    (the first minimising column; a later call wins only when strictly lower)."""
+    R = np.stack(rows)
+    for vertex in vertices:
+        V = np.array(list(vertex.rates), dtype=float)
+        slack = (V[:, None] - R).max(axis=0)
+        idx = int(slack.argmin())
+        value = float(slack[idx])
+        if vertex.label not in best or value < best[vertex.label][0]:
+            best[vertex.label] = (value, RateTuple(tuple(float(c) for c in R[:, idx])))

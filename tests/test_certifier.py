@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -316,3 +317,77 @@ def test_oracle_slacks_never_beat_the_recipe_and_never_lose_to_it():
             vertex = (up_v if row.link == "uplink" else dn_v)[row.vertex_label]
             gap = max(t - a for t, a in zip(vertex, row.oracle_achieved))
             assert gap == pytest.approx(row.free_slack, abs=1e-9)
+
+
+Vertex = collections.namedtuple("Vertex", "label rates")
+
+
+def _fold_both(calls, vertices):
+    """Run `certifier._keep_best` and the whole-grid reference over the same
+    sequence of row sets; return both results as float.hex strings."""
+    results = []
+    for fold in (certifier._keep_best, oracles.reference_keep_best):
+        best = {}
+        for rows in calls:
+            fold(best, vertices, rows)
+        results.append({
+            label: (value.hex(), [c.hex() for c in achieved])
+            for label, (value, achieved) in best.items()
+        })
+    return results
+
+
+def test_blocked_fold_matches_the_whole_grid_fold():
+    block = certifier._FOLD_BLOCK
+    n = 3 * block + 1  # three full blocks and the lone appended seed column
+    rng = np.random.default_rng(4)
+    # quarter-integer rates: exact slacks, with ties everywhere
+    coarse = [Vertex(f"C{k}", tuple(rng.integers(0, 12, 4) / 4)) for k in range(5)]
+    rows = tuple(rng.integers(0, 8, n) / 4 for _ in range(4))
+    fast, slow = _fold_both([rows], coarse)
+    assert fast == slow
+
+    # planted minima over rates below 1 (slack >= 2 elsewhere): planting only
+    # raises an entry, so each vertex's least slack is 0.5, first reached at
+    # the earlier of its columns; two columns of a tie achieve different tuples
+    rows = tuple(rng.uniform(0.0, 1.0, n) for _ in range(4))
+    planted = {
+        "A": ((3.0, 3.0, 0.0, 0.0), {100: (2.5, 2.75, 0, 0), 5000: (2.75, 2.5, 0, 0)}),
+        "B": ((0.0, 0.0, 3.0, 3.0), {block - 1: (0, 0, 2.5, 2.75), block: (0, 0, 2.75, 2.5)}),
+        "C": ((3.0, 0.0, 3.0, 0.0), {2 * block + 5: (2.5, 0, 2.75, 0), n - 1: (2.75, 0, 2.5, 0)}),
+        "D": ((0.0, 3.0, 0.0, 3.0), {n - 1: (0, 2.5, 0, 2.5)}),
+    }
+    for _, cols in planted.values():
+        for col, tup in cols.items():
+            for row, value in zip(rows, tup):
+                row[col] = max(row[col], value)
+    vertices = [Vertex(label, rates) for label, (rates, _) in planted.items()]
+    fast, slow = _fold_both([rows], vertices)
+    assert fast == slow
+    # the earlier column of each tie wins, within a block and across one
+    for label, (_, cols) in planted.items():
+        first = min(cols)
+        assert fast[label] == (0.5.hex(), [float(r[first]).hex() for r in rows]), label
+
+    # a later call that only ties keeps the earlier tuple; a lower one replaces it
+    later = tuple(np.roll(row, 7) for row in rows)
+    lower = tuple(row + 0.125 for row in rows)
+    for calls, winner in (([rows, later], rows), ([rows, later, lower], lower)):
+        fast, slow = _fold_both(calls, vertices)
+        assert fast == slow
+        assert fast["A"][1] == [float(r[100]).hex() for r in winner]
+
+
+@pytest.mark.parametrize("case", ["unit", "targeted", "seed90210"])
+def test_oracle_report_is_bit_identical_to_the_whole_grid_fold(case, monkeypatch):
+    if case == "unit":
+        channels, steps = [unit_gain()], 21
+    elif case == "targeted":
+        channels, steps = targeted_channels(), 9
+    else:
+        rng = np.random.default_rng(90210)
+        channels, steps = [random_channel(rng) for _ in range(3)], 21
+    fast = [brute_force_gap(p, grid_steps=steps) for p in channels]
+    monkeypatch.setattr(certifier, "_keep_best", oracles.reference_keep_best)
+    slow = [brute_force_gap(p, grid_steps=steps) for p in channels]
+    assert fast == slow

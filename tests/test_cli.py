@@ -166,6 +166,28 @@ def test_missing_field_names_the_field(tmp_path, capsys):
     assert "'PR'" in err
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(g=[1e154, 1, 1, 1], PR=1e10), "downlink SNR g[1]*g[1]*PR/sigma2[1] overflows a float"),
+        (dict(h=[1e150, 1, 1, 1], sigmaR2=1e-10), "uplink SNR h[1]*h[1]*P[1]/sigmaR2 overflows a float"),
+        (
+            dict(h=[1e154, 1, 1e154, 1], P=[0.9, 1, 0.9, 1]),
+            "uplink SNR (h[1]*h[1]*P[1]+h[3]*h[3]*P[3])/sigmaR2 overflows a float",
+        ),
+    ],
+)
+def test_an_overflowing_snr_names_the_channel_quantity(tmp_path, capsys, change, message):
+    obj = channel_obj()
+    obj.update(change)
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(obj))
+    for command in ("terms", "certify"):
+        code, out, err = run_main(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert message in err
+
+
 def test_certify_requires_exactly_one_source(capsys):
     code, _, err = run_main(capsys, "certify", str(UNIT_CHANNEL), "--random", "2", "1")
     assert code == 2 and "not both" in err

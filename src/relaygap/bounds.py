@@ -9,8 +9,12 @@ Three systems are built from one set of capacity terms:
 * ``downlink_polytope`` — what the relay can deliver, which depends on the
   ordering of the effective downlink noises (the "case").
 
-All three cut their rows from one 0/1 matrix (`_ROWS`).  `link_certificate`
-holds the pass rule both per-link certificates share.
+All three cut their rows from one 0/1 matrix (`_ROWS`), compiled once at
+import: `outer_bound` and `uplink_polytope` share its pattern, and each
+downlink case has its own, so building a region only checks its right-hand
+sides.  `link_certificates` holds the pass rule both per-link certificates
+share, testing all of a link's achieved tuples against its region in one
+product.
 
 User pairing: users 1 and 2 exchange messages, users 3 and 4 exchange
 messages, so user i's rate is delivered to its partner on the downlink.
@@ -18,12 +22,15 @@ messages, so user i's rate is delivered to its partner on the downlink.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from .model import (
     GAP_TOL,
     HALF_BIT,
     PAIR_KEYS,
+    TIGHT_TOL,
     CapacityTerms,
     GapCertificate,
     RateTuple,
@@ -32,7 +39,7 @@ from .model import (
     geq,
     slack_of,
 )
-from .polytope import HalfspaceSystem, contains
+from .polytope import HalfspaceSystem, RowPattern
 
 _NOISE_ORDERS = {
     # required sigma_bar2 orderings as chains of 1-based users, largest first:
@@ -66,6 +73,11 @@ _DOWNLINK_ROWS = {
     "III": ((0, 2), (1, 2), (2, 4), (3, 3), (5, 1)),
 }
 
+_PATTERN = RowPattern(_ROWS)
+_DOWNLINK_PATTERNS = {
+    case: RowPattern(_ROWS[row] for row, _ in rows) for case, rows in _DOWNLINK_ROWS.items()
+}
+
 
 def outer_bound(terms: CapacityTerms) -> HalfspaceSystem:
     """Genie-aided outer bound on (R1, R2, R3, R4).
@@ -78,13 +90,13 @@ def outer_bound(terms: CapacityTerms) -> HalfspaceSystem:
     served = (D[1], D[0], D[3], D[2])  # user i's partner's downlink term
     rhs = [min(terms.Cpair[(i, j)], max(served[i - 1], served[j - 1])) for i, j in PAIR_KEYS]
     rhs += [min(c, d) for c, d in zip(terms.C, served)]
-    return HalfspaceSystem(zip(_ROWS, rhs))
+    return _PATTERN.region(rhs)
 
 
 def uplink_polytope(terms: CapacityTerms) -> HalfspaceSystem:
     """Multiple-access region the relay can decode on the uplink."""
     rhs = [terms.Cpair[key] for key in PAIR_KEYS] + list(terms.C)
-    return HalfspaceSystem(zip(_ROWS, rhs))
+    return _PATTERN.region(rhs)
 
 
 def downlink_polytope(case, terms: CapacityTerms) -> HalfspaceSystem:
@@ -97,28 +109,28 @@ def downlink_polytope(case, terms: CapacityTerms) -> HalfspaceSystem:
     """
     case_key = as_case(case).value
     require_noise_order(terms.sigma_bar2, case_key)
-    return HalfspaceSystem(
-        (_ROWS[row], terms.D[user - 1]) for row, user in _DOWNLINK_ROWS[case_key]
+    return _DOWNLINK_PATTERNS[case_key].region(
+        terms.D[user - 1] for _, user in _DOWNLINK_ROWS[case_key]
     )
 
 
-def link_certificate(
-    link: str, label: str, target: RateTuple, achieved: RateTuple, region: HalfspaceSystem,
-    subcase: str = "",
-) -> GapCertificate:
-    """The per-link certificate of one vertex: it passes when every slack
-    component is at most half a bit (within GAP_TOL) and the achieved tuple
-    lies in the link's region."""
-    slack = slack_of(target, achieved)
-    return GapCertificate(
-        link=link,
-        vertex_label=label,
-        target=target,
-        achieved=achieved,
-        slack=slack,
-        passed=max(slack) <= HALF_BIT + GAP_TOL and contains(region, achieved),
-        subcase=subcase,
-    )
+def link_certificates(
+    link: str, region: HalfspaceSystem, entries: Sequence[Tuple[str, RateTuple, RateTuple, str]]
+) -> List[GapCertificate]:
+    """The per-link certificates of a link's vertices, one per ``(label,
+    target, achieved, subcase)`` entry: each passes when every slack component
+    is at most half a bit (within GAP_TOL) and its achieved tuple lies in the
+    link's region.  One product tests every achieved tuple against the region
+    as `polytope.contains` would."""
+    A, b = region.arrays()
+    X = np.array([achieved.rates for _, _, achieved, _ in entries]).reshape(-1, 4)
+    inside = (A @ X.T <= (b + TIGHT_TOL)[:, None]).all(axis=0).tolist()
+    slacks = [slack_of(target, achieved) for _, target, achieved, _ in entries]
+    return [
+        GapCertificate(link, label, target, achieved, slack,
+                       max(slack) <= HALF_BIT + GAP_TOL and ok, subcase)
+        for (label, target, achieved, subcase), slack, ok in zip(entries, slacks, inside)
+    ]
 
 
 def require_noise_order(sigma_bar2: Sequence[float], key: str) -> None:

@@ -120,14 +120,10 @@ def _best_scale(up: np.ndarray, dn: np.ndarray, target: np.ndarray) -> Tuple[flo
     if in_up and in_dn:
         return 1.0, in_up, in_dn
 
-    def ok(beta: float) -> bool:
-        scaled = beta * target
-        return _in_hull(up, scaled) and _in_hull(dn, scaled)
-
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if ok(mid):
+        if _in_hull(up, mid * target) and _in_hull(dn, mid * target):
             lo = mid
         else:
             hi = mid
@@ -167,25 +163,17 @@ def verify_theorem1(params: SystemParams) -> Theorem1Report:
     outer = outer_bound(capacity_terms(params))
     combined: List[GapCertificate] = []
     for k, vertex in enumerate(maximal_vertices(enumerate_vertices(outer))):
-        v = np.array(list(vertex), dtype=float)
-        target = np.maximum(0.0, v - HALF_BIT)
+        target = np.maximum(0.0, np.array(vertex.rates) - HALF_BIT)
         beta, in_up, in_dn = _best_scale(up, dn, target)
         achieved = RateTuple(tuple(beta * target))
         membership = (
             f"uplink_hull={'in' if in_up else 'out'},"
             f"downlink_hull={'in' if in_dn else 'out'}"
         )
-        combined.append(
-            GapCertificate(
-                link="combined",
-                vertex_label=f"O{k + 1}",
-                target=vertex,
-                achieved=achieved,
-                slack=slack_of(vertex, achieved),
-                passed=in_up and in_dn,
-                subcase=membership,
-            )
-        )
+        slack = slack_of(vertex, achieved)
+        combined.append(GapCertificate(
+            "combined", f"O{k + 1}", vertex, achieved, slack, in_up and in_dn, membership
+        ))
 
     links = [c for rep in ordering_reports for c in (*rep.uplink, *rep.downlink)]
     return Theorem1Report(
@@ -324,12 +312,7 @@ def monte_carlo(config: MonteCarloConfig) -> MonteCarloReport:
             if top > max_slack[cert.link]:
                 max_slack[cert.link] = top
             if worst is None or top > worst.slack:
-                worst = WorstCase(
-                    link=cert.link,
-                    vertex_label=cert.vertex_label,
-                    slack=top,
-                    channel=params,
-                )
+                worst = WorstCase(cert.link, cert.vertex_label, top, params)
             if cert.link == "downlink":
                 coverage[f"{cert.vertex_label}:{cert.subcase}"] += 1
 
@@ -557,13 +540,5 @@ def brute_force_gap(params: SystemParams, grid_steps: int = 21) -> BruteForceRep
     ):
         for label in sorted(free):
             free_value, achieved = free[label]
-            rows.append(
-                OracleRow(
-                    link=link,
-                    vertex_label=label,
-                    recipe_slack=recipe[label],
-                    free_slack=free_value,
-                    oracle_achieved=achieved,
-                )
-            )
+            rows.append(OracleRow(link, label, recipe[label], free_value, achieved))
     return BruteForceReport(grid_steps=grid_steps, rows=tuple(rows))

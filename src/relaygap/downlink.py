@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .bounds import downlink_polytope, link_certificate, require_noise_order
+from .bounds import downlink_polytope, link_certificates, require_noise_order
 from .model import (
     CapacityTerms,
     CaseLabel,
@@ -705,17 +705,15 @@ def downlink_certificate(params: SystemParams) -> List[GapCertificate]:
     """Certify the half-bit gap at every downlink vertex of a canonical channel.
 
     Classifies the channel and runs each vertex's power recipe through its
-    scheme's rate map; `bounds.link_certificate` judges the achieved tuple
-    against the vertex and the case's deliverable region.
+    scheme's rate map; `bounds.link_certificates` judges each achieved tuple
+    against its vertex and the case's deliverable region.
     """
     terms = capacity_terms(params)
     case = classify_case(terms.sigma_bar2)
-    region = downlink_polytope(case, terms)
-
-    certs: List[GapCertificate] = []
+    entries = []
     for v in downlink_vertices(case, terms):
         alloc, tag = _recipe(v.label, params.PR, terms.sigma_bar2)
         powers = (alloc.pR1, alloc.pR2, alloc.pR3, alloc.pR4)
         achieved = RateTuple(scheme_map(alloc.scheme_id, powers, terms.sigma_bar2))
-        certs.append(link_certificate("downlink", v.label, v.rates, achieved, region, tag))
-    return certs
+        entries.append((v.label, v.rates, achieved, tag))
+    return link_certificates("downlink", downlink_polytope(case, terms), entries)

@@ -1,10 +1,12 @@
 """Geometry of rate regions: halfspace systems, vertices, hull membership.
 
 Every region handled here lives in the nonnegative orthant of R^4 and is an
-intersection of halfspaces a . R <= b.  The dimension is tiny and the row
-counts are bounded (at most ~14 rows in practice), so vertex enumeration is
-done exhaustively over all 4-row subsets — no pivoting heuristics, fully
-deterministic output.
+intersection of halfspaces a . R <= b: a row pattern compiled once
+(`RowPattern`) plus a right-hand side b.  The package's regions have at
+most 8 rows besides the four nonnegativity rows, so vertex enumeration is
+exhaustive over 4-row subsets: the pattern keeps its nonsingular subsets and
+their matrices, and a region solves them all in one batch with its own b.
+No pivoting heuristics, fully deterministic output.
 """
 
 from __future__ import annotations
@@ -36,17 +38,49 @@ _MAX_SIMPLEX_ITERS = 10_000
 _NONNEG_ROWS = (0.0 - np.eye(4)).tolist()
 
 
+class RowPattern:
+    """Coefficient rows compiled once for every region that shares them.
+
+    ``A`` holds the rows, read-only, with the four nonnegativity rows
+    -R_i <= 0 appended; ``subsets`` and ``sub_A`` are its nonsingular 4-row
+    subsets and their matrices.  An unbounded pattern is rejected: each R_i
+    must appear with a positive coefficient in at least one all-nonnegative
+    row, which with R >= 0 certifies a finite upper bound.
+    """
+
+    def __init__(self, coeffs: Iterable[Sequence[float]]) -> None:
+        A = np.array(list(coeffs) + _NONNEG_ROWS, dtype=float)
+        bounded = ((A > 0.0) & (A >= 0.0).all(axis=1, keepdims=True)).any(axis=0)
+        if not bounded.all():
+            raise ValidationError(
+                f"system is unbounded in coordinate R{int(bounded.argmin()) + 1}: no "
+                f"all-nonnegative row has a positive coefficient there"
+            )
+        combos = np.fromiter(chain.from_iterable(combinations(range(len(A)), 4)), np.intp)
+        combos = combos.reshape(-1, 4)
+        # singular relative to the product of the subset's row inf-norms
+        scale = np.maximum(np.abs(A).max(axis=1)[combos].prod(axis=1), 1.0)
+        self.subsets = combos[np.abs(np.linalg.det(A[combos])) > _SINGULAR_REL_TOL * scale]
+        self.sub_A = A[self.subsets]
+        self.coeffs = tuple(map(tuple, A.tolist()))
+        A.flags.writeable = False
+        self.A = A
+
+    def region(self, rhs: Iterable[float]) -> "HalfspaceSystem":
+        """The system of these rows with user right-hand sides ``rhs``."""
+        system = object.__new__(HalfspaceSystem)
+        system._bind(self, [_finite(b, ("rows[{}].b", k)) for k, b in enumerate(rhs, 1)])
+        return system
+
+
 @dataclass(frozen=True)
 class HalfspaceSystem:
     """An intersection of halfspaces a . R <= b in R^4, R >= 0 implied.
 
     The four nonnegativity rows -R_i <= 0 are appended automatically and are
     part of the indexed row list (user rows first).  Construction validates
-    that the system is bounded above in every coordinate: each R_i must
-    appear with a positive coefficient in at least one all-nonnegative row,
-    which together with R >= 0 certifies a finite upper bound.  The rows are
-    stored once as the read-only arrays `arrays` returns; ``rows`` is read
-    off them.
+    the rows and compiles them once (`RowPattern`).  The rows are stored
+    once as the read-only arrays `arrays` returns; ``rows`` is read off them.
     """
 
     rows: Tuple[Row, ...]
@@ -63,19 +97,14 @@ class HalfspaceSystem:
                 raise ValidationError(msg) from None
             coeffs.append(_as_float4(a, ("rows[{}].a", k), _finite))
             rhs.append(_finite(b, ("rows[{}].b", k)))
+        self._bind(RowPattern(coeffs), rhs)
 
-        A = np.array(coeffs + _NONNEG_ROWS, dtype=float)
+    def _bind(self, pattern: RowPattern, rhs: List[float]) -> None:
         b = np.array(rhs + [0.0] * 4)
-        bounded = ((A > 0.0) & (A >= 0.0).all(axis=1, keepdims=True)).any(axis=0)
-        if not bounded.all():
-            raise ValidationError(
-                f"system is unbounded in coordinate R{int(bounded.argmin()) + 1}: no "
-                f"all-nonnegative row has a positive coefficient there"
-            )
-
-        A.flags.writeable = b.flags.writeable = False
-        object.__setattr__(self, "_arrays", (A, b))
-        object.__setattr__(self, "rows", tuple(zip(map(tuple, A.tolist()), b.tolist())))
+        b.flags.writeable = False
+        object.__setattr__(self, "_pattern", pattern)
+        object.__setattr__(self, "_arrays", (pattern.A, b))
+        object.__setattr__(self, "rows", tuple(zip(pattern.coeffs, b.tolist())))
         object.__setattr__(self, "n_user_rows", len(rhs))
 
     def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -102,23 +131,14 @@ class VertexSet:
 def enumerate_vertices(system: HalfspaceSystem) -> VertexSet:
     """Enumerate all vertices of the polytope by exhausting 4-row subsets.
 
-    Each nonsingular 4x4 subsystem is solved; the solution is kept when it
-    satisfies every row within TIGHT_TOL.  Duplicates (L-infinity distance
-    <= DEDUP_TOL) collapse to their lexicographically smallest representative.
+    Each nonsingular 4x4 subsystem of the system's compiled rows is solved,
+    all in one batch; a solution is kept when it satisfies every row within
+    TIGHT_TOL.  Duplicates (L-infinity distance <= DEDUP_TOL) collapse to
+    their lexicographically smallest representative.
     """
     A, b = system.arrays()
-    m = len(b)
-
-    combos = np.fromiter(chain.from_iterable(combinations(range(m), 4)), np.intp).reshape(-1, 4)
-    sub_A = A[combos]  # (K, 4, 4)
-    sub_b = b[combos]  # (K, 4)
-
-    dets = np.linalg.det(sub_A)
-    # relative to the product of the subset's row inf-norms
-    scale = np.maximum(np.abs(A).max(axis=1)[combos].prod(axis=1), 1.0)
-    nonsingular = np.abs(dets) > _SINGULAR_REL_TOL * scale
-
-    sols = np.linalg.solve(sub_A[nonsingular], sub_b[nonsingular][..., None])[..., 0]  # (K', 4)
+    pattern = system._pattern
+    sols = np.linalg.solve(pattern.sub_A, b[pattern.subsets][..., None])[..., 0]  # (K, 4)
     feas = (A @ sols.T <= b[:, None] + TIGHT_TOL).all(axis=0)
     cands = sols[feas]
     if cands.size == 0:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .bounds import link_certificate, uplink_polytope
+from .bounds import link_certificates, uplink_polytope
 from .model import (
     CapacityTerms,
     GapCertificate,
@@ -93,12 +93,7 @@ def uplink_power_alloc(params: SystemParams) -> UplinkPowerAlloc:
                 f"uplink ordering violated: h{lead + 1}^2*P{lead + 1}={q[lead]} < "
                 f"h{trail + 1}^2*P{trail + 1}={q[trail]} (canonicalize first)"
             )
-    return UplinkPowerAlloc(
-        p10=0.5 * q[1],
-        p11=max(0.0, q[0] - q[1]),
-        p30=0.5 * q[3],
-        p31=max(0.0, q[2] - q[3]),
-    )
+    return UplinkPowerAlloc(0.5 * q[1], max(0.0, q[0] - q[1]), 0.5 * q[3], max(0.0, q[2] - q[3]))
 
 
 _ORDERS: Dict[str, Tuple[Step, Step, Step, Step]] = {
@@ -219,18 +214,17 @@ def uplink_certificate(params: SystemParams) -> List[GapCertificate]:
 
     The relay runs each vertex's designated SIC order on the fixed power
     allocation (all six orders in one `sic_rates` pass);
-    `bounds.link_certificate` judges the achieved tuple against the vertex
+    `bounds.link_certificates` judges each achieved tuple against its vertex
     and the uplink region.
     """
     terms = capacity_terms(params)
     alloc = uplink_power_alloc(params)
-    region = uplink_polytope(terms)
     vertices = uplink_vertices(terms)
     achieved = sic_rates(
         alloc.p10, alloc.p11, alloc.p30, alloc.p31,
         [_ORDERS[v.label] for v in vertices], params.sigmaR2,
     )
-    return [
-        link_certificate("uplink", v.label, v.rates, UplinkSplitRates(*r).user_rates(), region)
+    return link_certificates("uplink", uplink_polytope(terms), [
+        (v.label, v.rates, UplinkSplitRates(*r).user_rates(), "")
         for v, r in zip(vertices, achieved)
-    ]
+    ])

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from relaygap.certifier import ORDERINGS, random_channel, targeted_channels
+from relaygap.effective import canonicalize
 from relaygap.model import SystemParams
 
 
@@ -17,6 +19,24 @@ def unit_gain(P=(1.0, 1.0, 1.0, 1.0), sigma2=(1.0, 1.0, 1.0, 1.0),
         sigmaR2=float(sigmaR2),
         PR=float(PR),
     )
+
+
+def channel_sets(n: int = 100) -> dict:
+    """Named channel sets the compiled-region tests compare on: ``n``
+    seed-1729 draws from the default box, ``n`` seed-7 draws at 1e+-6 dynamic
+    range, and the hand-picked `targeted_channels`."""
+    wide = (1e-6, 1e6)
+    default_rng, wide_rng = np.random.default_rng(1729), np.random.default_rng(7)
+    return {
+        "seed1729": [random_channel(default_rng) for _ in range(n)],
+        "wide_seed7": [random_channel(wide_rng, wide, wide, wide) for _ in range(n)],
+        "targeted": targeted_channels(),
+    }
+
+
+def canonical_frames(params: SystemParams):
+    """The channel canonicalized under each of the four in-pair leader choices."""
+    return [canonicalize(params, rate_order=order).params for order in ORDERINGS]
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ instead of linear programs.  Slow, but with nothing to argue about.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -14,7 +14,14 @@ from mpmath import mp, mpf
 
 from relaygap.downlink import alloc_for_vertex, classify_case, downlink_vertices
 from relaygap.effective import canonicalize
-from relaygap.model import RateTuple, capacity_terms
+from relaygap.model import (
+    DEDUP_TOL,
+    TIGHT_TOL,
+    InternalConsistencyError,
+    RateTuple,
+    capacity_terms,
+)
+from relaygap.polytope import _SINGULAR_REL_TOL, VertexSet
 from relaygap.uplink import decoding_order, uplink_power_alloc, uplink_vertices
 
 Point = Tuple[float, float, float, float]
@@ -332,3 +339,56 @@ def reference_keep_best(best, vertices, rows) -> None:
         value = float(slack[idx])
         if vertex.label not in best or value < best[vertex.label][0]:
             best[vertex.label] = (value, RateTuple(tuple(float(c) for c in R[:, idx])))
+
+
+# ---------------------------------------------------------------------------
+# per-call vertex enumeration
+#
+# `polytope.enumerate_vertices` solves the nonsingular 4-row subsets its
+# system's row pattern compiled once; this is the per-call enumeration it
+# replaced, which builds every subset, tests each determinant and solves the
+# nonsingular ones on every call.
+# ---------------------------------------------------------------------------
+
+def reference_enumerate_vertices(system) -> VertexSet:
+    """All vertices of a HalfspaceSystem from its ``arrays()`` alone: every
+    nonsingular 4x4 subsystem solved, kept when it satisfies every row within
+    TIGHT_TOL, duplicates (L-infinity <= DEDUP_TOL) collapsed greedily in
+    lexicographic order."""
+    A, b = system.arrays()
+    m = len(b)
+
+    combos = np.fromiter(chain.from_iterable(combinations(range(m), 4)), np.intp).reshape(-1, 4)
+    sub_A = A[combos]  # (K, 4, 4)
+    sub_b = b[combos]  # (K, 4)
+
+    dets = np.linalg.det(sub_A)
+    # relative to the product of the subset's row inf-norms
+    scale = np.maximum(np.abs(A).max(axis=1)[combos].prod(axis=1), 1.0)
+    nonsingular = np.abs(dets) > _SINGULAR_REL_TOL * scale
+
+    sols = np.linalg.solve(sub_A[nonsingular], sub_b[nonsingular][..., None])[..., 0]  # (K', 4)
+    feas = (A @ sols.T <= b[:, None] + TIGHT_TOL).all(axis=0)
+    cands = sols[feas]
+    if cands.size == 0:
+        raise InternalConsistencyError("polytope has no vertices (empty system?)")
+
+    order = np.lexsort((cands[:, 3], cands[:, 2], cands[:, 1], cands[:, 0]))
+    cands = cands[order]
+
+    close = np.ones((len(cands), len(cands)), dtype=bool)
+    for col in cands.T:
+        close &= np.abs(col[:, None] - col[None, :]) <= DEDUP_TOL
+    uncovered = np.ones(len(cands), dtype=bool)
+    keep: List[int] = []
+    while uncovered.any():
+        keep.append(int(uncovered.argmax()))
+        uncovered &= ~close[keep[-1]]
+    kept = cands[keep]
+
+    tight = np.abs(A @ kept.T - b[:, None]).T <= TIGHT_TOL  # (V, m)
+    tight_sets = tuple(tuple(np.flatnonzero(row).tolist()) for row in tight)
+    for x, active in zip(kept, tight_sets):
+        if len(active) < 4:
+            raise InternalConsistencyError(f"vertex {tuple(x)} has only {len(active)} active rows")
+    return VertexSet(vertices=tuple(RateTuple(tuple(x)) for x in kept), tight_sets=tight_sets)

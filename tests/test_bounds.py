@@ -1,16 +1,33 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import oracles
-from relaygap.bounds import downlink_polytope, outer_bound, uplink_polytope
-from relaygap.certifier import random_channel
-from relaygap.downlink import CaseLabel, classify_case
-from relaygap.model import SystemParams, ValidationError, capacity_terms
-from relaygap.polytope import contains, enumerate_vertices
+from relaygap import downlink
+from relaygap.bounds import (
+    _DOWNLINK_ROWS,
+    downlink_polytope,
+    link_certificates,
+    outer_bound,
+    uplink_polytope,
+)
+from relaygap.certifier import random_channel, targeted_channels
+from relaygap.downlink import CaseLabel, classify_case, downlink_certificate
+from relaygap.model import (
+    GAP_TOL,
+    HALF_BIT,
+    PAIR_KEYS,
+    RateTuple,
+    SystemParams,
+    ValidationError,
+    capacity_terms,
+)
+from relaygap.polytope import HalfspaceSystem, contains, enumerate_vertices
+from relaygap.uplink import uplink_certificate
 
-from conftest import unit_gain
+from conftest import canonical_frames, channel_sets, unit_gain
 
 
 def permute_users(params: SystemParams, perm) -> SystemParams:
@@ -260,3 +277,121 @@ def test_outer_bound_never_exceeds_uplink_row_for_row():
         for (a_o, b_o), (a_u, b_u) in zip(outer.rows[:8], up.rows[:8]):
             assert a_o == a_u
             assert b_o <= b_u + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# compiled regions
+# ---------------------------------------------------------------------------
+
+#: the cross-pair sum rows (in `PAIR_KEYS` order), then the single-rate rows
+PAIR_AND_SINGLE_ROWS = [
+    (1.0, 0.0, 1.0, 0.0),
+    (1.0, 0.0, 0.0, 1.0),
+    (0.0, 1.0, 1.0, 0.0),
+    (0.0, 1.0, 0.0, 1.0),
+    (1.0, 0.0, 0.0, 0.0),
+    (0.0, 1.0, 0.0, 0.0),
+    (0.0, 0.0, 1.0, 0.0),
+    (0.0, 0.0, 0.0, 1.0),
+]
+
+
+def _public_regions(terms, case):
+    """outer, uplink and downlink regions built row by row through the public
+    HalfspaceSystem constructor."""
+    D, C, Cp = terms.D, terms.C, terms.Cpair
+    served = (D[1], D[0], D[3], D[2])
+    outer = [min(Cp[(i, j)], max(served[i - 1], served[j - 1])) for i, j in PAIR_KEYS]
+    outer += [min(c, d) for c, d in zip(C, served)]
+    uplink = [Cp[key] for key in PAIR_KEYS] + list(C)
+    down_rows = [(PAIR_AND_SINGLE_ROWS[r], D[u - 1]) for r, u in _DOWNLINK_ROWS[case.value]]
+    return (
+        HalfspaceSystem(zip(PAIR_AND_SINGLE_ROWS, outer)),
+        HalfspaceSystem(zip(PAIR_AND_SINGLE_ROWS, uplink)),
+        HalfspaceSystem(down_rows),
+    )
+
+
+def test_package_regions_equal_their_public_construction():
+    cases = set()
+    for params in channel_sets(20)["seed1729"] + targeted_channels():
+        for frame in canonical_frames(params):
+            terms = capacity_terms(frame)
+            case = classify_case(terms.sigma_bar2)
+            cases.add(case)
+            package = (outer_bound(terms), uplink_polytope(terms), downlink_polytope(case, terms))
+            for got, want in zip(package, _public_regions(terms, case)):
+                assert got == want and hash(got) == hash(want)
+                assert got.n_user_rows == want.n_user_rows
+                for g, w in zip(got.arrays(), want.arrays()):
+                    assert g.tobytes() == w.tobytes() and not g.flags.writeable
+            # outer and uplink regions share one compiled pattern
+            assert package[0].arrays()[0] is package[1].arrays()[0]
+    assert cases == set(CaseLabel)
+
+
+def test_package_region_rejects_a_non_finite_right_hand_side():
+    terms = capacity_terms(unit_gain())
+    with pytest.raises(ValidationError, match=r"rows\[6\]\.b must be finite"):
+        uplink_polytope(dataclasses.replace(terms, C=(0.5, math.inf, 0.5, 0.5)))
+    with pytest.raises(ValidationError, match=r"rows\[1\]\.b is NaN"):
+        downlink_polytope("I", dataclasses.replace(terms, D=(0.5, math.nan, 0.5, 0.5)))
+
+
+# ---------------------------------------------------------------------------
+# per-link certificates
+# ---------------------------------------------------------------------------
+
+
+def test_link_certificates_test_each_point_against_the_region_within_tol():
+    box = HalfspaceSystem(zip(PAIR_AND_SINGLE_ROWS[4:], [1.0] * 4))
+    target = RateTuple((1.0, 1.0, 1.0, 1.0))
+    entries = [
+        ("corner", target, RateTuple((1.0, 1.0, 1.0, 1.0)), "a"),
+        ("inside tol", target, RateTuple((1.0 + 5e-10, 1.0, 1.0, 1.0)), "b"),
+        ("outside", target, RateTuple((1.0, 1.0, 1.0 + 2e-9, 1.0)), "c"),
+        ("short", target, RateTuple((0.4, 1.0, 1.0, 1.0)), "d"),
+    ]
+    certs = link_certificates("uplink", box, entries)
+    assert [c.vertex_label for c in certs] == [label for label, *_ in entries]
+    assert [c.subcase for c in certs] == ["a", "b", "c", "d"]
+    assert [c.passed for c in certs] == [True, True, False, False]
+    for c, (_, _, achieved, _) in zip(certs, entries):
+        assert c.link == "uplink" and c.achieved is achieved
+        assert c.slack == tuple(t - a for t, a in zip(target, achieved))
+
+
+@pytest.mark.parametrize("name", ["seed1729", "wide_seed7", "targeted"])
+def test_link_certificates_keep_the_per_point_pass_rule(name):
+    for params in channel_sets()[name]:
+        for frame in canonical_frames(params):
+            terms = capacity_terms(frame)
+            case = classify_case(terms.sigma_bar2)
+            for certs, region in (
+                (uplink_certificate(frame), uplink_polytope(terms)),
+                (downlink_certificate(frame), downlink_polytope(case, terms)),
+            ):
+                for c in certs:
+                    want = max(c.slack) <= HALF_BIT + GAP_TOL and contains(region, c.achieved)
+                    assert type(c.passed) is bool and c.passed == want
+
+
+def test_certificate_fails_an_achieved_tuple_outside_its_region(monkeypatch):
+    params = targeted_channels()[0]
+    real = downlink.scheme_map
+    planted = []
+
+    def first_one_beyond_every_row(scheme_id, p, sigma_bar2):
+        rates = real(scheme_id, p, sigma_bar2)
+        if not planted:
+            planted.append(rates)
+            return tuple(r + 10.0 for r in rates)
+        return rates
+
+    monkeypatch.setattr(downlink, "scheme_map", first_one_beyond_every_row)
+    first, *rest = downlink_certificate(params)
+    terms = capacity_terms(params)
+    region = downlink_polytope(classify_case(terms.sigma_bar2), terms)
+    assert max(first.slack) <= HALF_BIT and not contains(region, first.achieved)
+    assert first.passed is False
+    assert rest and all(c.passed for c in rest)

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from relaygap.bounds import outer_bound
+from relaygap.bounds import downlink_polytope, outer_bound, uplink_polytope
 from relaygap.certifier import random_channel
+from relaygap.downlink import classify_case
 from relaygap.model import (
     DEDUP_TOL,
     InternalConsistencyError,
@@ -17,12 +18,15 @@ from relaygap.model import (
 )
 from relaygap.polytope import (
     HalfspaceSystem,
+    RowPattern,
     VertexSet,
     contains,
     enumerate_vertices,
     in_downward_hull,
     maximal_vertices,
 )
+
+from conftest import canonical_frames, channel_sets
 
 
 def unit_box() -> HalfspaceSystem:
@@ -68,6 +72,8 @@ def test_unbounded_coordinate_is_rejected():
     rows = [((1.0, 0.0, 0.0, 0.0), 1.0), ((0.0, 1.0, 1.0, 0.0), 2.0)]
     with pytest.raises(ValidationError, match="unbounded in coordinate R4"):
         HalfspaceSystem(rows)
+    with pytest.raises(ValidationError, match="unbounded in coordinate R4"):
+        RowPattern(a for a, _ in rows)
 
 
 def test_mixed_sign_row_does_not_certify_boundedness():
@@ -178,6 +184,58 @@ def test_duplicate_defining_rows_do_not_duplicate_vertices():
     rows = [((1.0, 1.0, 1.0, 1.0), 1.0)] * 3
     vs = enumerate_vertices(HalfspaceSystem(rows))
     assert len(vs) == 5
+
+
+def _package_regions(params):
+    """The outer region of a channel and its uplink and downlink regions in
+    every canonical frame."""
+    yield outer_bound(capacity_terms(params))
+    for frame in canonical_frames(params):
+        terms = capacity_terms(frame)
+        yield uplink_polytope(terms)
+        yield downlink_polytope(classify_case(terms.sigma_bar2), terms)
+
+
+def _hex_vertices(vs: VertexSet):
+    return [(tuple(float(x).hex() for x in v), t) for v, t in zip(vs.vertices, vs.tight_sets)]
+
+
+def _systems(name):
+    if name == "dyadic":
+        rng = np.random.default_rng(31337)
+        return [
+            HalfspaceSystem(oracles.random_dyadic_system(rng, int(rng.integers(4, 13))))
+            for _ in range(60)
+        ]
+    return [region for params in channel_sets()[name] for region in _package_regions(params)]
+
+
+@pytest.mark.parametrize("name", ["seed1729", "wide_seed7", "targeted", "dyadic"])
+def test_compiled_enumeration_is_bit_identical_to_the_per_call_reference(name):
+    # the compiled pattern solves the same sub-matrices against the same
+    # right-hand sides as the per-call enumeration, so every float matches
+    for system in _systems(name):
+        got = enumerate_vertices(system)
+        want = oracles.reference_enumerate_vertices(system)
+        assert _hex_vertices(got) == _hex_vertices(want)
+
+
+def test_regions_of_one_pattern_enumerate_their_own_vertices():
+    pattern = RowPattern(a for a, _ in unit_box().rows[:4])
+    small, large = pattern.region([1.0] * 4), pattern.region([2.0, 3.0, 0.5, 1.0])
+    assert small.arrays()[0] is large.arrays()[0]  # one compiled A
+    for region, sides in ((small, (1.0,) * 4), (large, (2.0, 3.0, 0.5, 1.0))):
+        got = sorted(tuple(v) for v in enumerate_vertices(region).vertices)
+        assert got == sorted(itertools.product(*[(0.0, s) for s in sides]))
+        assert region == HalfspaceSystem(zip(pattern.coeffs[:4], sides))
+
+
+def test_region_right_hand_sides_are_validated_by_name():
+    pattern = RowPattern(a for a, _ in unit_box().rows[:4])
+    with pytest.raises(ValidationError, match=r"rows\[3\]\.b must be finite"):
+        pattern.region([1.0, 1.0, float("inf"), 1.0])
+    with pytest.raises(ValidationError, match=r"rows\[1\]\.b is NaN"):
+        pattern.region([float("nan"), 1.0, 1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------

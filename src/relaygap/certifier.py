@@ -20,8 +20,9 @@ Three layers of machinery live here:
 * `brute_force_gap` — a grid-search oracle.  Per vertex it reports the
   closed-form slack and the free grid optimum over all 24 relay decoding
   orders (uplink) or every admissible broadcast scheme (downlink), evaluated
-  on whole power grids by the same elementwise rate kernels the
-  certificates use (`uplink.sic_rates`, `downlink.scheme_map`).  The free
+  on product power grids by the same elementwise rate kernels the
+  certificates use (`uplink.sic_rates`, `downlink.scheme_map`), each rate
+  only on the grid axes its powers depend on.  The free
   optimum can sit well below the closed form — the designated constructions
   trade per-vertex optimality for uniform half-bit guarantees — but seeding
   the recipe point guarantees it never sits above.  The independent
@@ -31,6 +32,7 @@ Three layers of machinery live here:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -43,7 +45,6 @@ from .bounds import outer_bound
 from .downlink import (
     CASE_SCHEMES,
     SCHEME_LAYERS,
-    CaseLabel,
     _recipe,
     classify_case,
     downlink_certificate,
@@ -404,42 +405,50 @@ class BruteForceReport:
     rows: Tuple[OracleRow, ...]
 
 
-#: grid columns per block of `_keep_best`: two (vertices, block) float buffers
-#: stay in cache, while a block still amortizes the per-call numpy overhead
-_FOLD_BLOCK = 8192
-
-
 def _keep_best(
-    best: Dict[str, Tuple[float, RateTuple]], vertices: Sequence, rows: Sequence[np.ndarray]
+    best: Dict[str, Tuple[float, RateTuple]], vertices: Sequence, rows: Sequence, shape: Tuple
 ) -> None:
-    """Fold one grid of achieved rates, four (N,) per-user rows, into ``best``:
-    per vertex label, the lowest max-component slack seen so far and the rate
-    tuple attaining it.
+    """Fold one product grid of achieved rates (four per-user arrays of
+    ``len(shape)`` axes that broadcast to ``shape``) into ``best``: per vertex
+    label, the lowest max-component slack seen so far and its rate tuple.
 
-    All vertices are reduced together, block by block, in two reused buffers.
-    Every slack is the same float subtraction and four-way max as on the whole
-    grid, and a later column, block or call replaces the best only when
-    strictly lower, so the first minimiser wins exactly as one argmin would.
+    Vertices are reduced together, a slab of the last three axes at a time:
+    full-size rows through two reused buffers, the rest max-combined on their
+    own shapes and broadcast in once.  Each slack is the same subtraction and
+    exact max as on the flattened grid, and a later column, slab or call wins
+    only when strictly lower, so the first minimiser in C order wins.
     """
     V = np.array([vertex.rates for vertex in vertices], dtype=float)
-    n = len(rows[0])
-    slack, term = np.empty((len(V), _FOLD_BLOCK)), np.empty((len(V), _FOLD_BLOCK))
+    lead, tail = shape[:-3], shape[-3:]
+    size = math.prod(tail)
+    targets = [V[:, c].reshape(-1, *[1] * len(tail)) for c in range(4)]
+    slack, term = np.empty((len(V), *tail)), np.empty((len(V), *tail))
+    flat = slack.reshape(len(V), size)
     value, index = np.full(len(V), math.inf), np.zeros(len(V), dtype=np.intp)
     every = np.arange(len(V))
-    for start in range(0, n, _FOLD_BLOCK):
-        stop = min(start + _FOLD_BLOCK, n)
-        block, part = slack[:, : stop - start], term[:, : stop - start]
-        np.subtract(V[:, :1], rows[0][start:stop], out=block)
-        for c in range(1, 4):
-            np.maximum(block, np.subtract(V[:, c : c + 1], rows[c][start:stop], out=part), out=block)
-        arg = block.argmin(axis=1)
-        low = block[every, arg]
+    for offset, at in enumerate(np.ndindex(*lead)):
+        # each row's part of this slab, on the row's own tail shape
+        pieces = [row[tuple(i if m > 1 else 0 for i, m in zip(at, row.shape))] for row in rows]
+        full = [(t, p) for t, p in zip(targets, pieces) if p.size == size]
+        small = [t - p for t, p in zip(targets, pieces) if p.size < size]
+        if full:
+            np.subtract(*full.pop(), out=slack)
+        else:
+            np.copyto(slack, small.pop())
+        for t, p in full:
+            np.maximum(slack, np.subtract(t, p, out=term), out=slack)
+        if small:
+            np.maximum(slack, functools.reduce(np.maximum, small), out=slack)
+        arg = flat.argmin(axis=1)
+        low = flat[every, arg]
         better = low < value
         value[better] = low[better]
-        index[better] = arg[better] + start
+        index[better] = arg[better] + offset * size
     for vertex, v, idx in zip(vertices, value.tolist(), index.tolist()):
         if vertex.label not in best or v < best[vertex.label][0]:
-            best[vertex.label] = (v, RateTuple(tuple(float(row[idx]) for row in rows)))
+            at = np.unravel_index(idx, shape)
+            achieved = tuple(float(np.broadcast_to(row, shape)[at]) for row in rows)
+            best[vertex.label] = (v, RateTuple(achieved))
 
 
 def _uplink_oracle(params: SystemParams, terms: CapacityTerms, n: int) -> Dict[str, Tuple[float, RateTuple]]:
@@ -448,67 +457,55 @@ def _uplink_oracle(params: SystemParams, terms: CapacityTerms, n: int) -> Dict[s
     The grid spans the full feasible power set: the per-codeword lattice power
     of each pair is capped by the trailing user's received budget, and the
     leader splits its own budget between the lattice and private codewords.
-    The closed-form allocation itself is appended as an extra grid point, so
-    the oracle can never lose to it.
+    Each power lives on the grid axes it depends on (p10 on u, p11 on u, v,
+    p30 on w, p31 on w, x).  The closed-form allocation is folded in as a
+    one-point grid after each order's grid, so the oracle never loses to it.
     """
     q = received_powers(params)
     t = np.linspace(0.0, 1.0, n)
-    u, v, w, x = (a.ravel() for a in np.meshgrid(t, t, t, t, indexing="ij"))
+    u, v, w, x = np.meshgrid(t, t, t, t, indexing="ij", sparse=True)
     p10 = u * min(q[0], q[1])
     p11 = v * np.maximum(0.0, q[0] - p10)
     p30 = w * min(q[2], q[3])
     p31 = x * np.maximum(0.0, q[2] - p30)
-
     seed = uplink_power_alloc(params)
-    p10 = np.append(p10, seed.p10)
-    p11 = np.append(p11, seed.p11)
-    p30 = np.append(p30, seed.p30)
-    p31 = np.append(p31, seed.p31)
+    point = [np.array([s]) for s in (seed.p10, seed.p11, seed.p30, seed.p31)]
 
     vertices = uplink_vertices(terms)
     best: Dict[str, Tuple[float, RateTuple]] = {}
-    orders = itertools.permutations((Step.G1, Step.G3, Step.LA, Step.LB))
-    for r10, r11, r30, r31 in sic_rates(p10, p11, p30, p31, orders, params.sigmaR2):
-        _keep_best(best, vertices, (r10 + r11, r10, r30 + r31, r30))
+    orders = list(itertools.permutations((Step.G1, Step.G3, Step.LA, Step.LB)))
+    grid = sic_rates(p10, p11, p30, p31, orders, params.sigmaR2)
+    seeded = sic_rates(*point, orders, params.sigmaR2)
+    for on_grid, at_seed in zip(grid, seeded):
+        for (r10, r11, r30, r31), shape in ((on_grid, (n,) * 4), (at_seed, (1,))):
+            _keep_best(best, vertices, (r10 + r11, r10, r30 + r31, r30), shape)
     return best
-
-
-def _downlink_grids(
-    case: CaseLabel, PR: float, sigma_bar2: Sequence[float], labels: Sequence[str], n: int
-) -> Dict[str, List[np.ndarray]]:
-    """Nested simplex grids (plus recipe seed points) per admissible scheme:
-    each used layer takes a grid fraction of the budget the layers before it
-    left, and the layers a scheme does not use stay at zero."""
-    t = np.linspace(0.0, 1.0, n)
-    grids: Dict[str, List[np.ndarray]] = {}
-    for scheme in CASE_SCHEMES[case]:
-        fractions = np.meshgrid(*[t] * SCHEME_LAYERS[scheme], indexing="ij")
-        pools: List[np.ndarray] = []
-        rem = PR
-        for f in fractions:
-            pools.append(f.ravel() * rem)
-            rem = rem - pools[-1]
-        pools += [np.zeros_like(pools[0])] * (4 - len(pools))
-        grids[scheme] = pools
-
-    for label in labels:
-        alloc, _ = _recipe(label, PR, sigma_bar2)
-        pools = grids[alloc.scheme_id]
-        for i, val in enumerate((alloc.pR1, alloc.pR2, alloc.pR3, alloc.pR4)):
-            pools[i] = np.append(pools[i], val)
-    return grids
 
 
 def _downlink_oracle(
     params: SystemParams, terms: CapacityTerms, n: int
 ) -> Dict[str, Tuple[float, RateTuple]]:
-    """Best grid slack per downlink vertex over every scheme the case admits."""
+    """Best grid slack per downlink vertex over every scheme the case admits:
+    used layer k takes grid fraction k of the budget the layers before it
+    left (so it lives on grid axes 0..k), unused layers stay at zero, and
+    each vertex's recipe is folded in as a one-point grid after its scheme's."""
     case = classify_case(terms.sigma_bar2)
     vertices = downlink_vertices(case, terms)
+    seeds = [_recipe(vertex.label, params.PR, terms.sigma_bar2)[0] for vertex in vertices]
+    t = np.linspace(0.0, 1.0, n)
     best: Dict[str, Tuple[float, RateTuple]] = {}
-    grids = _downlink_grids(case, params.PR, terms.sigma_bar2, [v.label for v in vertices], n)
-    for scheme, pools in grids.items():
-        _keep_best(best, vertices, scheme_map(scheme, pools, terms.sigma_bar2))
+    for scheme in CASE_SCHEMES[case]:
+        layers = SCHEME_LAYERS[scheme]
+        pools, rem = [], params.PR
+        for f in np.meshgrid(*[t] * layers, indexing="ij", sparse=True):
+            pools.append(f * rem)
+            rem = rem - pools[-1]
+        pools += [np.zeros((1,) * layers)] * (4 - layers)
+        _keep_best(best, vertices, scheme_map(scheme, pools, terms.sigma_bar2), (n,) * layers)
+        for alloc in seeds:
+            if alloc.scheme_id == scheme:
+                point = [np.array([p]) for p in (alloc.pR1, alloc.pR2, alloc.pR3, alloc.pR4)]
+                _keep_best(best, vertices, scheme_map(scheme, point, terms.sigma_bar2), (1,))
     return best
 
 

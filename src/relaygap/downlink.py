@@ -125,8 +125,8 @@ def classify_case(sigma_bar2: Sequence[float]) -> CaseLabel:
 
 def scheme_map(scheme_id: str, p: Sequence, sigma_bar2: Sequence[float]):
     """The four user rates of one broadcast scheme at layer powers
-    ``p = (pR1, pR2, pR3, pR4)``, elementwise over floats or numpy arrays;
-    inputs are not validated here (`scheme_rates` is the checked entry).
+    ``p = (pR1, pR2, pR3, pR4)``, elementwise over floats or numpy arrays that
+    broadcast together; inputs are not validated here (`scheme_rates` is).
 
     * "4.1" (case I): the pair-B codeword (pR1) is decoded first everywhere,
       the pair-A codeword (pR2) rides underneath.
@@ -248,7 +248,7 @@ def downlink_vertices(case: CaseLabel, terms: CapacityTerms) -> List[DownlinkVer
             ("D3.5", (d2 - d3 + d1, d1, d3 - d1, d3 - d1)),
         )
     return [
-        DownlinkVertex(label, RateTuple([nonneg(x, f"{label} component") for x in raw]))
+        DownlinkVertex(label, RateTuple([nonneg(x, ("{} component", label)) for x in raw]))
         for label, raw in table
     ]
 
@@ -474,7 +474,7 @@ def _d25_quadratic_check(PR, s1, s2, s3, s4):
     b = 4.0 * s1 * s1 - 2.0 * s1 * s3 + s1 * s4 - s2 * s4
     c = 4.0 * s1 * s1 * s4 - 2.0 * s1 * s3 * s4 - s1 * s2 * s4
     f = (a * PR + b) * PR + c
-    nonneg(f, f"feasibility quadratic at PR={PR}", max(abs(a) * PR * PR, abs(b) * PR, abs(c)))
+    nonneg(f, ("feasibility quadratic at PR={}", PR), max(abs(a) * PR * PR, abs(b) * PR, abs(c)))
 
 
 def _alloc_d3_private(PR, s1, s2, sk):

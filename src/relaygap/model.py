@@ -69,13 +69,13 @@ def as_case(case) -> CaseLabel:
         raise ValidationError(f"case must be one of I/II/III, got {value!r}") from None
 
 
-#: an argument's name, or a ``(template, i)`` pair formatted only when raising
-_Name = Union[str, Tuple[str, int]]
+#: a name, or a ``(template, *args)`` tuple formatted only when raising
+_Name = Union[str, Tuple]
 
 
-def _entry(name: _Name, k) -> str:
+def _entry(name: _Name, k=None) -> str:
     if not isinstance(name, str):
-        name = name[0].format(name[1])
+        name = name[0].format(*name[1:])
     return name if k is None else f"{name}[{k}]"
 
 
@@ -123,10 +123,10 @@ def _as_float4(values, name: _Name, rule=_real) -> Tuple[float, float, float, fl
         vals = tuple(values)
     except TypeError:
         raise ValidationError(
-            f"{_entry(name, None)} must be a sequence of 4 reals, got {values!r}"
+            f"{_entry(name)} must be a sequence of 4 reals, got {values!r}"
         ) from None
     if len(vals) != 4:
-        raise ValidationError(f"{_entry(name, None)} must have exactly 4 entries, got {len(vals)}")
+        raise ValidationError(f"{_entry(name)} must have exactly 4 entries, got {len(vals)}")
     a, b, c, d = vals
     return rule(a, name, 1), rule(b, name, 2), rule(c, name, 3), rule(d, name, 4)
 
@@ -241,19 +241,19 @@ def geq(a: float, b: float) -> bool:
     return b - a <= TIGHT_TOL * (max(1.0, abs(b)) if math.isfinite(b) else 1.0)
 
 
-def nonneg(x: float, what: str, scale: float = 1.0) -> float:
+def nonneg(x: float, what: _Name, scale: float = 1.0) -> float:
     """Clamp float dust on a mathematically nonnegative quantity.
 
     Returns ``x`` when it is >= 0 and 0 when it is negative by at most
     TIGHT_TOL * max(1, |scale|), ``scale`` being the magnitude of the
     operands ``x`` was computed from; anything more negative (or NaN) is a
-    broken closed form and raises InternalConsistencyError.
+    broken closed form and raises InternalConsistencyError naming ``what``.
     """
     if x >= 0.0:
         return x
     if -x <= TIGHT_TOL * max(1.0, abs(scale)):
         return 0.0
-    raise InternalConsistencyError(f"{what} = {x} is negative beyond float dust")
+    raise InternalConsistencyError(f"{_entry(what)} = {x} is negative beyond float dust")
 
 
 def half_log2_rate(x, floor=None, cap=None):

@@ -131,12 +131,13 @@ class UplinkSplitRates:
 
 def sic_rates(p10, p11, p30, p31, orders: Iterable[Sequence[Step]], sigmaR2: float):
     """The relay's SIC chain, elementwise over floats or numpy arrays of
-    received powers: yields (r10, r11, r30, r31) for each decoding order in
-    ``orders`` (the lattice weights are formed once for all of them).
+    received powers that broadcast together: yields (r10, r11, r30, r31) for
+    each decoding order in ``orders`` (lattice weights formed once for all).
 
     Decoded groups are subtracted; groups not yet decoded interfere with the
-    current stage.  A pending lattice pair interferes with twice its
-    per-codeword power.  Inputs are not validated here.
+    current stage, whose rate takes their broadcast shape.  A pending lattice
+    pair interferes with twice its per-codeword power.  Inputs are not
+    validated here.
     """
     power = {Step.G1: p11, Step.G3: p31, Step.LA: p10, Step.LB: p30}
     weight = {Step.G1: p11, Step.G3: p31, Step.LA: 2.0 * p10, Step.LB: 2.0 * p30}
@@ -202,9 +203,9 @@ def uplink_vertices(terms: CapacityTerms) -> List[UplinkVertex]:
 
     out: List[UplinkVertex] = []
     for label, raw in table.items():
-        r1, r2, r3, r4 = (nonneg(v, f"{label}.rates[{k}]") for k, v in enumerate(raw, 1))
-        own1 = nonneg(r1 - r2, f"{label}.split[2]")
-        own3 = nonneg(r3 - r4, f"{label}.split[4]")
+        r1, r2, r3, r4 = (nonneg(v, ("{}.rates[{}]", label, k)) for k, v in enumerate(raw, 1))
+        own1 = nonneg(r1 - r2, ("{}.split[2]", label))
+        own3 = nonneg(r3 - r4, ("{}.split[4]", label))
         out.append(UplinkVertex(label, RateTuple((r1, r2, r3, r4)), (r2, own1, r4, own3)))
     return out
 

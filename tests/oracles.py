@@ -6,13 +6,23 @@ instead of linear programs.  Slow, but with nothing to argue about.
 """
 
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from mpmath import mp, mpf
 
-from relaygap.downlink import alloc_for_vertex, classify_case, downlink_vertices
+from relaygap.certifier import BruteForceReport, OracleRow
+from relaygap.downlink import (
+    CASE_SCHEMES,
+    SCHEME_LAYERS,
+    _recipe,
+    alloc_for_vertex,
+    classify_case,
+    downlink_certificate,
+    downlink_vertices,
+    scheme_map,
+)
 from relaygap.effective import canonicalize
 from relaygap.model import (
     DEDUP_TOL,
@@ -20,9 +30,17 @@ from relaygap.model import (
     InternalConsistencyError,
     RateTuple,
     capacity_terms,
+    received_powers,
 )
 from relaygap.polytope import _SINGULAR_REL_TOL, VertexSet
-from relaygap.uplink import decoding_order, uplink_power_alloc, uplink_vertices
+from relaygap.uplink import (
+    Step,
+    decoding_order,
+    sic_rates,
+    uplink_certificate,
+    uplink_power_alloc,
+    uplink_vertices,
+)
 
 Point = Tuple[float, float, float, float]
 
@@ -320,10 +338,13 @@ def designated_slacks(params) -> Dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# whole-grid slack fold
+# flattened-grid oracle
 #
-# `certifier._keep_best` folds a rate grid block by block; this is the
-# one-shot fold it replaced, one (4, N) temporary and one argmin per vertex.
+# `certifier.brute_force_gap` evaluates each rate on the product-grid axes it
+# depends on and folds the grid slab by slab with the closed-form seeds as
+# one-point grids; this is the oracle it replaced: every power spread over
+# the whole flattened meshgrid, the seeds appended as extra columns, and one
+# (4, N) temporary and one argmin per vertex.
 # ---------------------------------------------------------------------------
 
 
@@ -339,6 +360,75 @@ def reference_keep_best(best, vertices, rows) -> None:
         value = float(slack[idx])
         if vertex.label not in best or value < best[vertex.label][0]:
             best[vertex.label] = (value, RateTuple(tuple(float(c) for c in R[:, idx])))
+
+
+def _reference_uplink(params, terms, n):
+    q = received_powers(params)
+    t = np.linspace(0.0, 1.0, n)
+    u, v, w, x = (a.ravel() for a in np.meshgrid(t, t, t, t, indexing="ij"))
+    p10 = u * min(q[0], q[1])
+    p11 = v * np.maximum(0.0, q[0] - p10)
+    p30 = w * min(q[2], q[3])
+    p31 = x * np.maximum(0.0, q[2] - p30)
+
+    seed = uplink_power_alloc(params)
+    p10 = np.append(p10, seed.p10)
+    p11 = np.append(p11, seed.p11)
+    p30 = np.append(p30, seed.p30)
+    p31 = np.append(p31, seed.p31)
+
+    vertices = uplink_vertices(terms)
+    best = {}
+    orders = permutations((Step.G1, Step.G3, Step.LA, Step.LB))
+    for r10, r11, r30, r31 in sic_rates(p10, p11, p30, p31, orders, params.sigmaR2):
+        reference_keep_best(best, vertices, (r10 + r11, r10, r30 + r31, r30))
+    return best
+
+
+def _reference_downlink(params, terms, n):
+    case = classify_case(terms.sigma_bar2)
+    vertices = downlink_vertices(case, terms)
+    t = np.linspace(0.0, 1.0, n)
+    grids = {}
+    for scheme in CASE_SCHEMES[case]:
+        fractions = np.meshgrid(*[t] * SCHEME_LAYERS[scheme], indexing="ij")
+        pools = []
+        rem = params.PR
+        for f in fractions:
+            pools.append(f.ravel() * rem)
+            rem = rem - pools[-1]
+        pools += [np.zeros_like(pools[0])] * (4 - len(pools))
+        grids[scheme] = pools
+
+    for vertex in vertices:
+        alloc, _ = _recipe(vertex.label, params.PR, terms.sigma_bar2)
+        pools = grids[alloc.scheme_id]
+        for i, val in enumerate((alloc.pR1, alloc.pR2, alloc.pR3, alloc.pR4)):
+            pools[i] = np.append(pools[i], val)
+
+    best = {}
+    for scheme, pools in grids.items():
+        reference_keep_best(best, vertices, scheme_map(scheme, pools, terms.sigma_bar2))
+    return best
+
+
+def reference_brute_force_gap(params, grid_steps: int) -> BruteForceReport:
+    """`certifier.brute_force_gap` over flattened grids with appended seeds."""
+    p = canonicalize(params).params
+    terms = capacity_terms(p)
+    recipe = {
+        cert.vertex_label: max(cert.slack)
+        for cert in (*uplink_certificate(p), *downlink_certificate(p))
+    }
+    rows = []
+    for link, free in (
+        ("uplink", _reference_uplink(p, terms, grid_steps)),
+        ("downlink", _reference_downlink(p, terms, grid_steps)),
+    ):
+        for label in sorted(free):
+            free_value, achieved = free[label]
+            rows.append(OracleRow(link, label, recipe[label], free_value, achieved))
+    return BruteForceReport(grid_steps=grid_steps, rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

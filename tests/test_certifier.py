@@ -322,14 +322,20 @@ def test_oracle_slacks_never_beat_the_recipe_and_never_lose_to_it():
 Vertex = collections.namedtuple("Vertex", "label rates")
 
 
+def _whole_grid_fold(best, vertices, rows, shape):
+    flat = tuple(np.broadcast_to(row, shape).ravel() for row in rows)
+    oracles.reference_keep_best(best, vertices, flat)
+
+
 def _fold_both(calls, vertices):
-    """Run `certifier._keep_best` and the whole-grid reference over the same
-    sequence of row sets; return both results as float.hex strings."""
+    """Run `certifier._keep_best` over a sequence of (rows, shape) product
+    grids, and the whole-grid reference over the same rows broadcast and
+    flattened; return both results as float.hex strings."""
     results = []
-    for fold in (certifier._keep_best, oracles.reference_keep_best):
+    for fold in (certifier._keep_best, _whole_grid_fold):
         best = {}
-        for rows in calls:
-            fold(best, vertices, rows)
+        for rows, shape in calls:
+            fold(best, vertices, rows, shape)
         results.append({
             label: (value.hex(), [c.hex() for c in achieved])
             for label, (value, achieved) in best.items()
@@ -337,57 +343,116 @@ def _fold_both(calls, vertices):
     return results
 
 
+#: a 4-axis product grid of 4 slabs of 5 * 6 * 7 = 210 columns each
+GRID = (4, 5, 6, 7)
+SLAB = 5 * 6 * 7
+#: a full row, two that skip grid axes, and one constant along the slab axis
+ROW_SHAPES = (GRID, (4, 5, 1, 1), (1, 1, 6, 1), (1, 5, 6, 7))
+
+
 def test_blocked_fold_matches_the_whole_grid_fold():
-    block = certifier._FOLD_BLOCK
-    n = 3 * block + 1  # three full blocks and the lone appended seed column
     rng = np.random.default_rng(4)
     # quarter-integer rates: exact slacks, with ties everywhere
     coarse = [Vertex(f"C{k}", tuple(rng.integers(0, 12, 4) / 4)) for k in range(5)]
-    rows = tuple(rng.integers(0, 8, n) / 4 for _ in range(4))
-    fast, slow = _fold_both([rows], coarse)
-    assert fast == slow
+    # and one vertex per row whose slack only that row sets
+    coarse += [Vertex(f"E{c}", tuple(3.0 * np.eye(4)[c])) for c in range(4)]
+    # one, two or no full-size rows per slab, in any position
+    for shapes in (ROW_SHAPES, ROW_SHAPES[::-1], (GRID, (1, 1, 6, 1), GRID, (4, 5, 1, 1)),
+                   ((4, 5, 1, 1), (1, 1, 6, 1), (4, 1, 1, 7), (1, 5, 6, 1))):
+        rows = tuple(rng.integers(0, 8, shape) / 4 for shape in shapes)
+        fast, slow = _fold_both([(rows, GRID)], coarse)
+        assert fast == slow
+    # a grid of fewer than three axes is one slab; a one-point grid is a seed
+    for shape, shapes in (((5, 6), ((5, 6), (5, 1), (1, 6), (1, 1))), ((1,), [(1,)] * 4)):
+        rows = tuple(rng.integers(0, 8, row_shape) / 4 for row_shape in shapes)
+        fast, slow = _fold_both([(rows, shape)], coarse)
+        assert fast == slow
 
-    # planted minima over rates below 1 (slack >= 2 elsewhere): planting only
-    # raises an entry, so each vertex's least slack is 0.5, first reached at
-    # the earlier of its columns; two columns of a tie achieve different tuples
-    rows = tuple(rng.uniform(0.0, 1.0, n) for _ in range(4))
-    planted = {
-        "A": ((3.0, 3.0, 0.0, 0.0), {100: (2.5, 2.75, 0, 0), 5000: (2.75, 2.5, 0, 0)}),
-        "B": ((0.0, 0.0, 3.0, 3.0), {block - 1: (0, 0, 2.5, 2.75), block: (0, 0, 2.75, 2.5)}),
-        "C": ((3.0, 0.0, 3.0, 0.0), {2 * block + 5: (2.5, 0, 2.75, 0), n - 1: (2.75, 0, 2.5, 0)}),
-        "D": ((0.0, 3.0, 0.0, 3.0), {n - 1: (0, 2.5, 0, 2.5)}),
-    }
-    for _, cols in planted.values():
-        for col, tup in cols.items():
-            for row, value in zip(rows, tup):
-                row[col] = max(row[col], value)
-    vertices = [Vertex(label, rates) for label, (rates, _) in planted.items()]
-    fast, slow = _fold_both([rows], vertices)
-    assert fast == slow
-    # the earlier column of each tie wins, within a block and across one
-    for label, (_, cols) in planted.items():
-        first = min(cols)
-        assert fast[label] == (0.5.hex(), [float(r[first]).hex() for r in rows]), label
 
-    # a later call that only ties keeps the earlier tuple; a lower one replaces it
-    later = tuple(np.roll(row, 7) for row in rows)
-    lower = tuple(row + 0.125 for row in rows)
-    for calls, winner in (([rows, later], rows), ([rows, later, lower], lower)):
+def _planted_grid():
+    """Rates below 1 (slack >= 2 elsewhere) with planted ties at slack 0.5
+    for three vertices, each reading one row: across the boundary of slabs 1
+    and 2 (full row), inside a row that skips the last two axes, and inside
+    a row constant along the slab axis.  Returns the rows, the vertices and
+    each vertex's first minimiser in C order."""
+    rng = np.random.default_rng(5)
+    rows = [rng.uniform(0.0, 1.0, shape) for shape in ROW_SHAPES]
+    rows[0].flat[2 * SLAB - 1] = rows[0].flat[2 * SLAB] = 2.5
+    rows[1][1, 4] = rows[1][2, 0] = 2.5
+    rows[3][0, 2, 5, 6] = rows[3][0, 3, 0, 0] = 2.5
+    vertices = [
+        Vertex("B", (3.0, 0.0, 0.0, 0.0)),
+        Vertex("R", (0.0, 3.0, 0.0, 0.0)),
+        Vertex("S", (0.0, 0.0, 0.0, 3.0)),
+    ]
+    first = {"B": np.unravel_index(2 * SLAB - 1, GRID), "R": (1, 4, 0, 0), "S": (0, 2, 5, 6)}
+    return tuple(rows), vertices, first
+
+
+def _tuple_at(rows, shape, at):
+    return [float(np.broadcast_to(row, shape)[at]).hex() for row in rows]
+
+
+def test_slab_fold_keeps_the_first_minimiser_across_slabs_and_inside_reduced_rows():
+    rows, vertices, first = _planted_grid()
+    fast, slow = _fold_both([(rows, GRID)], vertices)
+    assert fast == slow
+    for label, at in first.items():
+        assert fast[label] == (0.5.hex(), _tuple_at(rows, GRID, at)), label
+
+
+def test_a_seed_call_replaces_the_grid_best_only_when_strictly_lower():
+    rows, vertices, first = _planted_grid()
+    tie = (np.array([2.5]), np.array([0.25]), np.array([0.5]), np.array([0.75]))
+    lower = (np.array([2.625]), *tie[1:])
+    grid = _tuple_at(rows, GRID, first["B"])
+    for calls, value, winner in (
+        ([(rows, GRID), (tie, (1,))], 0.5, grid),
+        ([(rows, GRID), (tie, (1,)), (lower, (1,))], 0.375, [float(r[0]).hex() for r in lower]),
+    ):
         fast, slow = _fold_both(calls, vertices)
         assert fast == slow
-        assert fast["A"][1] == [float(r[100]).hex() for r in winner]
+        assert fast["B"] == (value.hex(), winner)
 
 
-@pytest.mark.parametrize("case", ["unit", "targeted", "seed90210"])
-def test_oracle_report_is_bit_identical_to_the_whole_grid_fold(case, monkeypatch):
-    if case == "unit":
-        channels, steps = [unit_gain()], 21
-    elif case == "targeted":
-        channels, steps = targeted_channels(), 9
-    else:
-        rng = np.random.default_rng(90210)
-        channels, steps = [random_channel(rng) for _ in range(3)], 21
-    fast = [brute_force_gap(p, grid_steps=steps) for p in channels]
-    monkeypatch.setattr(certifier, "_keep_best", oracles.reference_keep_best)
-    slow = [brute_force_gap(p, grid_steps=steps) for p in channels]
-    assert fast == slow
+def _wide(seed, count):
+    rng = np.random.default_rng(seed)
+    return [random_channel(rng, *[(1e-6, 1e6)] * 3) for _ in range(count)]
+
+
+def _default(seed, count):
+    rng = np.random.default_rng(seed)
+    return [random_channel(rng) for _ in range(count)]
+
+
+#: (channels, grid steps) sets; "coarse" runs 2-, 3- and 5-step grids, on
+#: which the seeded recipe point often ties or beats the whole grid
+ORACLE_SETS = {
+    "seed90210": lambda: [(p, 21) for p in _default(90210, 25)],
+    "targeted": lambda: [(p, steps) for steps in (9, 21) for p in targeted_channels()],
+    "unit": lambda: [(unit_gain(), 21)],
+    "wide7": lambda: [(p, 21) for p in _wide(7, 25)],
+    "coarse": lambda: [
+        (p, steps)
+        for steps in (2, 3, 5)
+        for p in (*_default(5, 60), *targeted_channels(), *_wide(8, 60))
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SETS))
+def test_oracle_report_is_bit_identical_to_the_whole_grid_fold(name):
+    def dump(report):
+        return [
+            (row.link, row.vertex_label, row.recipe_slack.hex(), row.free_slack.hex(),
+             [c.hex() for c in row.oracle_achieved])
+            for row in report.rows
+        ]
+
+    ties = 0
+    for params, steps in ORACLE_SETS[name]():
+        fast = brute_force_gap(params, grid_steps=steps)
+        assert dump(fast) == dump(oracles.reference_brute_force_gap(params, steps))
+        ties += sum(row.free_slack == row.recipe_slack for row in fast.rows)
+    if name == "coarse":
+        assert ties > 1000

@@ -298,7 +298,7 @@ def test_symmetric_noise_collapses_second_vertex():
 
 def test_vertices_reject_terms_violating_the_case_order():
     terms = capacity_terms(case_params(CASE3_NOISES, PR=6.0))  # sbar1 largest
-    with pytest.raises(InternalConsistencyError):
+    with pytest.raises(InternalConsistencyError, match=r"^D1\.2 component = -0\.3"):
         downlink_vertices(CaseLabel.I, terms)
 
 

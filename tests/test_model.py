@@ -196,6 +196,10 @@ def test_nonneg_clamps_dust_relative_to_the_operand_scale():
     assert nonneg(-0.5, "x", scale=1e9) == 0.0
     with pytest.raises(InternalConsistencyError, match="x = -5e-09"):
         nonneg(-5e-9, "x")
+    # a (template, *args) name is formatted only when raising
+    assert nonneg(1.0, ("{}.split[{}]", "U3", 2)) == 1.0
+    with pytest.raises(InternalConsistencyError, match=r"^U3\.split\[2\] = -5e-09 "):
+        nonneg(-5e-9, ("{}.split[{}]", "U3", 2))
     with pytest.raises(InternalConsistencyError):
         nonneg(-5.0, "x", scale=1e9)
     with pytest.raises(InternalConsistencyError):

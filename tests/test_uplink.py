@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from relaygap.bounds import uplink_polytope
 from relaygap.certifier import random_channel
 from relaygap.effective import canonicalize
 from relaygap.model import (
+    CapacityTerms,
+    InternalConsistencyError,
     RateTuple,
     SystemParams,
     ValidationError,
@@ -288,6 +291,17 @@ def test_zero_channel_vertices_are_all_zero():
 def test_vertices_require_canonical_terms():
     terms = capacity_terms(unit_gain(P=(1.0, 2.0, 1.0, 1.0)))
     with pytest.raises(ValidationError, match="canonicalize"):
+        uplink_vertices(terms)
+
+
+@pytest.mark.parametrize("c23, message", [
+    (0.5, "U1.rates[2] = -0.5 is negative"),   # c23 < c3
+    (1.5, "U3.split[4] = -0.5 is negative"),   # c23 < c24 by less than c4
+])
+def test_a_broken_vertex_closed_form_names_its_entry(c23, message):
+    pairs = {(1, 3): 2.0, (1, 4): 2.0, (2, 3): c23, (2, 4): 2.0}
+    terms = CapacityTerms(C=(1.0,) * 4, D=(1.0,) * 4, Cpair=pairs, sigma_bar2=(1.0,) * 4)
+    with pytest.raises(InternalConsistencyError, match=re.escape(message)):
         uplink_vertices(terms)
 
 

@@ -103,8 +103,13 @@ class Theorem1Report:
 
 
 def _in_hull(points: np.ndarray, target: np.ndarray) -> bool:
-    # fast path: some single achieved point already dominates the target
-    if (points >= target - TIGHT_TOL).all(axis=1).any():
+    """`in_downward_hull`, with a fast path for a single dominating point.
+
+    The fast path accepts when some point falls short of the target by at
+    most TIGHT_TOL summed over the coordinates: the phase-1 LP's own
+    objective at that point's vertex, so it accepts only what the LP accepts.
+    """
+    if np.maximum(target - points, 0.0).sum(axis=1).min() <= TIGHT_TOL:
         return True
     return in_downward_hull(points, target)
 

@@ -7,32 +7,28 @@ whose second user has the larger effective downlink noise sits in the first
 slot.  Any channel can be brought into this form by
 
 1. relabeling users within each pair according to the requested rate order,
-2. weakening the stronger in-pair uplink gain so received uplink powers
-   order correctly (gain shrinks, never grows),
-3. inflating one in-pair downlink noise so downlink qualities order
-   correctly (noise grows, never shrinks — gains are untouched), and
+2. giving the trailing user of a pair the leader's own uplink gain and power
+   (h, P) when it receives more, so both receive exactly the leader's power,
+3. giving the leader the trailing user's own downlink gain and noise
+   (g, sigma2) when the trailing user's effective noise is larger, so both
+   see exactly the trailing user's effective noise, and
 4. swapping the two pairs if needed.
 
-The result is never better than the original channel, so anything achieved
-on it is achievable on the original.  The permutation taking effective user
-slots back to original user numbers is carried along explicitly.
+Steps 2 and 3 only copy a weaker partner's numbers into a stronger user's
+slot; nothing is computed.  So each effective user's received power and
+effective noise is, exactly, its own or its weaker partner's: the result is
+never better than the original channel, anything achieved on it is
+achievable on the original, and every number in it is one of the input's.
+The permutation taking effective user slots back to original user numbers is
+carried along explicitly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from .model import (
-    InternalConsistencyError,
-    RateTuple,
-    SystemParams,
-    ValidationError,
-    effective_noises,
-    geq,
-    received_powers,
-)
+from .model import RateTuple, SystemParams, ValidationError, effective_noises, received_powers
 
 Perm = Tuple[int, int, int, int]
 
@@ -60,6 +56,10 @@ class EffectiveSystem:
 
 def canonicalize(params: SystemParams, rate_order: Tuple[int, int] = (1, 3)) -> EffectiveSystem:
     """Build the effective system for one choice of in-pair rate leaders.
+
+    A stronger user is weakened by substitution, never by arithmetic: it
+    takes its partner's own (h, P) uplink pair or (g, sigma2) downlink pair,
+    so its received power or effective noise equals the partner's exactly.
 
     Parameters
     ----------
@@ -89,14 +89,13 @@ def canonicalize(params: SystemParams, rate_order: Tuple[int, int] = (1, 3)) -> 
 
     for lead, trail in ((0, 1), (2, 3)):
         # step 2: received uplink powers must not increase along each pair;
-        # shrink the offending gain (ties left untouched)
-        if q[lead] < q[trail]:  # so P[trail] > 0
-            h[trail] = abs(h[lead]) * math.sqrt(P[lead] / P[trail])
+        # the stronger trailing user takes the leader's (h, P) (ties untouched)
+        if q[lead] < q[trail]:
+            h[trail], P[trail] = h[lead], P[lead]
         # step 3: the trailing user's effective noise must not be below the
-        # leader's; inflate the leader's noise to match (gains untouched)
+        # leader's; the leader takes the trailing user's (g, sigma2)
         if sbar[trail] > sbar[lead]:
-            # a zero trailing gain is zero target quality: only infinite noise reaches it
-            s2[lead] = math.inf if g[trail] == 0.0 else g[lead] ** 2 * s2[trail] / g[trail] ** 2
+            g[lead], s2[lead] = g[trail], s2[trail]
 
     # step 4: order the pairs by the trailing users' effective noises (step 3
     # never changes a trailing user's)
@@ -105,20 +104,5 @@ def canonicalize(params: SystemParams, rate_order: Tuple[int, int] = (1, 3)) -> 
         h, g, P, s2, perm = (seq[2:] + seq[:2] for seq in (h, g, P, s2, perm))
 
     eff = SystemParams(h=h, g=g, P=P, sigma2=s2, sigmaR2=params.sigmaR2, PR=params.PR)
-    _check_degraded(params, eff, perm)
     return EffectiveSystem(params=eff, perm=tuple(perm), pair_swapped=pair_swapped)
 
-
-def _check_degraded(orig: SystemParams, eff: SystemParams, perm: Sequence[int]) -> None:
-    """Every effective user must be no better off than its original self."""
-    # downlink quality is 1/sbar (0 for the +inf sentinel): geq is relative
-    # above 1, so a high-SNR user's tiny noise is still checked tightly
-    up = ("uplink power", received_powers(orig), received_powers(eff))
-    dn = ("downlink quality", *([1.0 / s for s in effective_noises(p)] for p in (orig, eff)))
-    for slot, user in enumerate(perm):
-        for what, before, after in (up, dn):
-            if not geq(before[user - 1], after[slot]):
-                raise InternalConsistencyError(
-                    f"canonicalization improved {what} of user {user}: "
-                    f"{after[slot]} > {before[user - 1]}"
-                )

@@ -205,7 +205,12 @@ def in_downward_hull(
     target: Sequence[float],
     tol: float = TIGHT_TOL,
 ) -> bool:
-    """Decide whether target is dominated by a convex combination of points."""
+    """Decide whether target is dominated by a convex combination of points.
+
+    The rule: accept when some convex combination falls short of the
+    target's positive part by at most ``tol`` summed over the four
+    coordinates (the phase-1 LP's minimum artificial cost).
+    """
     rows = [_as_float4(p, ("points[{}]", k), _finite) for k, p in enumerate(points, 1)]
     pts = np.array(rows, dtype=float).reshape(-1, 4)
     t = np.array(_as_float4(target, "target", _finite))

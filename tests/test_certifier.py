@@ -136,6 +136,7 @@ def test_failing_combined_corner_reports_its_largest_scale_in_both_hulls(monkeyp
         # membership as the certificate judges it (fast path, then the LP)
         point = np.array(c.achieved.rates)
         assert certifier._in_hull(up, point) and certifier._in_hull(dn, point)
+        assert in_downward_hull(up, point) and in_downward_hull(dn, point)
         assert not certifier._in_hull(dn, (beta + 1e-6) * target)
         assert not in_downward_hull(dn, (beta + 1e-6) * target)
 
@@ -143,6 +144,48 @@ def test_failing_combined_corner_reports_its_largest_scale_in_both_hulls(monkeyp
 def test_verification_is_deterministic():
     params = random_channel(314)
     assert verify_theorem1(params) == verify_theorem1(params)
+
+
+def in_units(params: SystemParams, a: float, b: float) -> SystemParams:
+    """The same channel in other units: uplink amplitudes times a, downlink times b."""
+    return dataclasses.replace(
+        params,
+        h=tuple(h * a for h in params.h),
+        sigmaR2=params.sigmaR2 * a * a,
+        g=tuple(g * b for g in params.g),
+        sigma2=tuple(s * b * b for s in params.sigma2),
+    )
+
+
+def close(x, y) -> bool:
+    """The float rule of tests/output_diff.py: within 1e-14 * max(1, |x|)."""
+    return all(abs(u - v) <= 1e-14 * max(1.0, abs(u)) for u, v in zip(x, y))
+
+
+def test_certification_does_not_depend_on_units():
+    # every SNR is unit-free, so rescaling amplitudes and noises together
+    # must leave the certificate alone up to float rounding
+    rng = np.random.default_rng(99)
+    for draw in range(200):
+        params = random_channel(rng)
+        a, b = 10.0 ** rng.uniform(-150.0, 150.0, 2)
+        base, moved = verify_theorem1(params), verify_theorem1(in_units(params, a, b))
+        assert moved.passed == base.passed, draw
+        for rep, other in zip(base.orderings, moved.orderings):
+            assert (rep.rate_order, rep.perm) == (other.rate_order, other.perm), draw
+            certs, others = rep.uplink + rep.downlink, other.uplink + other.downlink
+            assert len(certs) == len(others), draw
+            for c, d in zip(certs, others):
+                assert (c.link, c.vertex_label, c.subcase, c.passed) == (
+                    d.link, d.vertex_label, d.subcase, d.passed
+                ), draw
+                assert close(c.target, d.target) and close(c.achieved, d.achieved), draw
+        # combined labels come from a lexicographic sort that rounding can
+        # permute, so the combined certificates compare as sets
+        flags = collections.Counter((c.subcase, c.passed) for c in base.combined)
+        assert flags == collections.Counter((c.subcase, c.passed) for c in moved.combined), draw
+        points = [[tuple(c.target) + tuple(c.achieved) for c in r.combined] for r in (base, moved)]
+        assert oracles.same_point_sets(*points, tol=1e-13), draw
 
 
 # ---------------------------------------------------------------------------

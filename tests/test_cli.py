@@ -188,6 +188,18 @@ def test_an_overflowing_snr_names_the_channel_quantity(tmp_path, capsys, change,
         assert message in err
 
 
+def test_channel_in_tiny_downlink_units_certifies(tmp_path, capsys):
+    # effective noises 1 and 0.75 written in units near the float floor:
+    # canonicalizing copies (g, sigma2) pairs, so no noise underflows to 0
+    obj = dict(h=[1, 1, 1, 1], P=[1, 1, 1, 1], sigmaR2=1, PR=1)
+    obj.update(g=[1e-100, 2e-100, 1e-100, 2e-100], sigma2=[1e-200, 3e-200, 1e-200, 3e-200])
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_main(capsys, "certify", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["pass"] is True
+
+
 def test_certify_requires_exactly_one_source(capsys):
     code, _, err = run_main(capsys, "certify", str(UNIT_CHANNEL), "--random", "2", "1")
     assert code == 2 and "not both" in err

@@ -8,13 +8,14 @@ import oracles
 from relaygap.bounds import outer_bound
 from relaygap.certifier import ORDERINGS, random_channel
 from relaygap.downlink import DownlinkPowerAlloc, scheme_rates
-from relaygap.effective import EffectiveSystem, _check_degraded, canonicalize
+from relaygap.effective import EffectiveSystem, canonicalize
 from relaygap.model import (
-    InternalConsistencyError,
     RateTuple,
     SystemParams,
     ValidationError,
     capacity_terms,
+    effective_noises,
+    received_powers,
 )
 from relaygap.polytope import HalfspaceSystem, enumerate_vertices, maximal_vertices
 
@@ -46,7 +47,7 @@ def test_already_ordered_channel_is_untouched():
     assert eff.pair_swapped is False
 
 
-def test_stronger_trailing_uplink_gain_is_shrunk():
+def test_stronger_trailing_user_takes_the_leaders_uplink_pair():
     params = SystemParams(
         h=(1.0, 2.0, 1.0, 1.0),
         g=(1.0, 1.0, 1.0, 1.0),
@@ -57,46 +58,46 @@ def test_stronger_trailing_uplink_gain_is_shrunk():
     )
     eff = canonicalize(params)
     assert eff.perm == (1, 2, 3, 4)
-    assert eff.params.h[0] == 1.0
-    assert eff.params.h[1] == pytest.approx(1.0, abs=1e-15)  # h1 * sqrt(P1/P2)
+    assert eff.params.h == (1.0, 1.0, 1.0, 1.0)
     assert eff.params.P == params.P
     assert eff.params.g == params.g
+    assert received_powers(eff.params)[1] == received_powers(params)[0]
 
 
-def test_gain_shrink_scales_with_power_ratio():
+def test_uplink_substitution_ties_received_powers_exactly():
     params = SystemParams(
-        h=(1.0, 4.0, 1.0, 1.0),
+        h=(0.1, 4.0, 1.0, 1.0),
         g=(1.0, 1.0, 1.0, 1.0),
-        P=(9.0, 4.0, 1.0, 1.0),
+        P=(0.3, 4.0, 1.0, 1.0),
         sigma2=(2.0, 1.0, 4.0, 3.0),
         sigmaR2=1.0,
         PR=1.0,
     )
-    # h1^2 P1 = 9 < h2^2 P2 = 64, so h2 becomes h1*sqrt(P1/P2) = 1.5
+    # 0.1*0.1*0.3 < 4*4*4, so user 2 takes user 1's (h, P): no sqrt, no rounding
     eff = canonicalize(params)
-    assert eff.params.h[1] == pytest.approx(1.5, abs=1e-12)
-    assert eff.params.h[1] ** 2 * eff.params.P[1] == pytest.approx(
-        params.h[0] ** 2 * params.P[0], rel=1e-12
-    )
+    assert (eff.params.h[1], eff.params.P[1]) == (0.1, 0.3)
+    q, q_orig = received_powers(eff.params), received_powers(params)
+    assert q[1] == q[0] == q_orig[0]
+    assert q[2:] == q_orig[2:]
 
 
 def test_better_leading_downlink_noise_is_inflated():
     params = SystemParams(
         h=(1.0, 1.0, 1.0, 1.0),
-        g=(2.0, 1.0, 1.0, 1.0),
+        g=(2.0, 0.3, 1.0, 1.0),
         P=(1.0, 1.0, 1.0, 1.0),
-        sigma2=(1.0, 1.0, 1.0, 1.0),
+        sigma2=(1.0, 0.7, 9.0, 8.0),
         sigmaR2=1.0,
         PR=1.0,
     )
-    # g1^2/sigma1^2 = 4 beats g2^2/sigma2^2 = 1; noise inflates to match:
-    # sigma1_hat^2 = g1^2 * sigma2^2 / g2^2 = 4
+    # 1/4 < 0.7/0.09: user 1's effective noise is inflated by taking user 2's (g, sigma2)
     eff = canonicalize(params)
-    assert eff.params.sigma2[0] == pytest.approx(4.0, abs=1e-12)
-    assert eff.params.g == params.g  # gains untouched by this step
-    assert eff.params.g[0] ** 2 / eff.params.sigma2[0] == pytest.approx(
-        params.g[1] ** 2 / params.sigma2[1], rel=1e-12
-    )
+    assert eff.perm == (1, 2, 3, 4)
+    assert eff.params.g == (0.3, 0.3, 1.0, 1.0)
+    assert eff.params.sigma2 == (0.7, 0.7, 9.0, 8.0)
+    sbar, sbar_orig = effective_noises(eff.params), effective_noises(params)
+    assert sbar[0] == sbar[1] == sbar_orig[1]
+    assert sbar[2:] == sbar_orig[2:]
 
 
 def test_unreachable_trailing_user_inflates_leader_noise_to_infinity():
@@ -112,7 +113,8 @@ def test_unreachable_trailing_user_inflates_leader_noise_to_infinity():
     # the unreachable pair also has the larger trailing effective noise, so
     # it lands in the second slot pair
     assert eff.pair_swapped is True
-    assert math.isinf(eff.params.sigma2[2])
+    assert eff.params.g[2] == 0.0
+    assert effective_noises(eff.params)[2:] == (math.inf, math.inf)
 
 
 def test_pair_swap_is_recorded_and_mapped():
@@ -133,8 +135,8 @@ def test_pair_swap_is_recorded_and_mapped():
 
 
 def test_zero_trailing_power_needs_no_rescale():
-    # a zero trailing power cannot out-receive the leader, so the gain
-    # rescale (and its divide-by-zero hazard) never triggers
+    # a zero trailing power cannot out-receive the leader, so step 2 leaves
+    # its (h, P) alone
     params = unit_gain(P=(1.0, 0.0, 1.0, 1.0), sigma2=(2.0, 1.0, 4.0, 3.0))
     eff = canonicalize(params)
     assert eff.params.h == params.h
@@ -181,16 +183,6 @@ def test_index_maps_are_inverse_permutations():
 # ---------------------------------------------------------------------------
 
 
-def q_of(params: SystemParams, i: int) -> float:
-    return params.h[i] ** 2 * params.P[i]
-
-
-def quality_of(params: SystemParams, i: int) -> float:
-    if math.isinf(params.sigma2[i]):
-        return 0.0
-    return params.g[i] ** 2 / params.sigma2[i]
-
-
 def test_effective_system_satisfies_all_output_orderings():
     rng = np.random.default_rng(314159)
     for _ in range(200):
@@ -198,12 +190,10 @@ def test_effective_system_satisfies_all_output_orderings():
         for order in ORDERINGS:
             eff = canonicalize(params, rate_order=order)
             e = eff.params
-            assert q_of(e, 0) >= q_of(e, 1) - 1e-12
-            assert q_of(e, 2) >= q_of(e, 3) - 1e-12
+            q = received_powers(e)
+            assert q[0] >= q[1] and q[2] >= q[3]
             sb = capacity_terms(e).sigma_bar2
-            assert sb[0] >= sb[1] * (1 - 1e-12)
-            assert sb[2] >= sb[3] * (1 - 1e-12)
-            assert sb[3] >= sb[1] * (1 - 1e-12)
+            assert sb[0] >= sb[1] and sb[2] >= sb[3] and sb[3] >= sb[1]
             assert e.sigmaR2 == params.sigmaR2
             assert e.PR == params.PR
 
@@ -212,32 +202,13 @@ def test_no_effective_user_is_better_off():
     rng = np.random.default_rng(27182)
     for _ in range(200):
         params = random_channel(rng)
+        q_orig, sbar_orig = received_powers(params), effective_noises(params)
         for order in ORDERINGS:
             eff = canonicalize(params, rate_order=order)
+            q, sbar = received_powers(eff.params), effective_noises(eff.params)
             for slot, user in enumerate(eff.perm):
-                u = user - 1
-                assert q_of(eff.params, slot) <= q_of(params, u) * (1 + 1e-12) + 1e-15
-                assert (
-                    quality_of(eff.params, slot)
-                    <= quality_of(params, u) * (1 + 1e-12) + 1e-15
-                )
-
-
-def test_improved_effective_channel_is_an_internal_fault():
-    # canonicalization only ever weakens users, so an effective channel that
-    # beats its original is a bug in the reduction, not bad input
-    params = ordered_params()
-    stronger_uplink = dataclasses.replace(params, h=(3.0, 1.0, 2.0, 1.0))
-    with pytest.raises(InternalConsistencyError, match="uplink power of user 1"):
-        _check_degraded(params, stronger_uplink, (1, 2, 3, 4))
-    quieter_downlink = dataclasses.replace(params, sigma2=(2.0, 1.0, 4.0, 1.0))
-    with pytest.raises(InternalConsistencyError, match="downlink quality of user 4"):
-        _check_degraded(params, quieter_downlink, (1, 2, 3, 4))
-    _check_degraded(params, params, (1, 2, 3, 4))
-    # a high-SNR user whose effective noise halves from 1e-12 is caught too
-    loud = dataclasses.replace(params, g=(1e6, 1.0, 1.0, 1.0), sigma2=(1.0, 1.0, 1.0, 1.0))
-    with pytest.raises(InternalConsistencyError, match="downlink quality of user 1"):
-        _check_degraded(loud, dataclasses.replace(loud, sigma2=(0.5, 1.0, 1.0, 1.0)), (1, 2, 3, 4))
+                assert q[slot] <= q_orig[user - 1]
+                assert sbar[slot] >= sbar_orig[user - 1]
 
 
 def test_capacity_terms_degrade_componentwise():

@@ -30,7 +30,6 @@ from .model import (
     GAP_TOL,
     HALF_BIT,
     PAIR_KEYS,
-    TIGHT_TOL,
     CapacityTerms,
     GapCertificate,
     RateTuple,
@@ -39,7 +38,7 @@ from .model import (
     geq,
     slack_of,
 )
-from .polytope import HalfspaceSystem, RowPattern
+from .polytope import HalfspaceSystem, RowPattern, satisfies
 
 _NOISE_ORDERS = {
     # required sigma_bar2 orderings as chains of 1-based users, largest first:
@@ -120,11 +119,9 @@ def link_certificates(
     """The per-link certificates of a link's vertices, one per ``(label,
     target, achieved, subcase)`` entry: each passes when every slack component
     is at most half a bit (within GAP_TOL) and its achieved tuple lies in the
-    link's region.  One product tests every achieved tuple against the region
-    as `polytope.contains` would."""
-    A, b = region.arrays()
-    X = np.array([achieved.rates for _, _, achieved, _ in entries]).reshape(-1, 4)
-    inside = (A @ X.T <= (b + TIGHT_TOL)[:, None]).all(axis=0).tolist()
+    link's region (`polytope.satisfies`, all of them in one product)."""
+    X = np.array([achieved for _, _, achieved, _ in entries]).reshape(-1, 4)
+    inside = satisfies(region, X).tolist()
     slacks = [slack_of(target, achieved) for _, target, achieved, _ in entries]
     return [
         GapCertificate(link, label, target, achieved, slack,

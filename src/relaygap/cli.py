@@ -11,17 +11,20 @@ Numbers are printed with 12 significant digits everywhere, infinities as the
 string ``"inf"``; CSV uses '.' decimals, ',' separators, and a mandatory
 header row.  Exit codes: 0 success / all certificates pass, 1 a certificate
 failed, 2 bad input (the message names the offending field), 3 an internal
-consistency fault (a closed form broke one of its own guarantees).
+consistency fault (a closed form broke one of its own guarantees), 141 the
+reader closed standard output (128 + SIGPIPE, as ``relaygap ... | head`` ends).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -168,6 +171,8 @@ def _load_channel(path: str) -> SystemParams:
         )
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"channel file is not valid JSON: {exc}") from exc
+    except OSError as exc:  # an unreadable file is bad input, in the OS's words
+        raise ValidationError(str(exc)) from exc
     return parse_channel(obj)
 
 
@@ -428,8 +433,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValidationError, OSError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away: end quietly, as SIGPIPE would, with what is still
+        # buffered sent to devnull so that the flush at shutdown cannot fail again
+        with contextlib.suppress(OSError):  # an in-memory stdout has no descriptor
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalConsistencyError as exc:

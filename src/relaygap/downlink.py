@@ -132,14 +132,16 @@ def scheme_map(scheme_id: str, p: Sequence, sigma_bar2: Sequence[float]):
       the pair-A codeword (pR2) rides underneath.
     * "4.2" (case II): layer 1 carries the pair-B common part, layer 2 the
       pair-A common part, layers 3 and 4 the split-out private remainders of
-      users 3 and 1.  User 4's rate is capped by the worse of its own channel
-      and user 2's (the common part must survive both).
+      users 3 and 1.  User 4's rate is capped by the worse of user 3's
+      self-decode of layer 1 (sbar3) and user 1's plain decode of it (sbar1):
+      the common part must survive both.
     * "4.3" (case II): the "4.1" layout, but user 1 decodes its layer
       directly through the pair-B codeword's interference.
     * "4.4" (case III): layer 1 carries the pair-A common part, layer 2 the
       pair-B common part, layer 3 user 1's split-out private remainder.
-      User 2's rate is capped by the worse of its own channel and the pair-B
-      users' (who must strip layer 1 before reaching their own).
+      User 2's rate is capped by the worse of user 1's self-decode of layer 1
+      (sbar1) and user 3's plain decode of it (sbar3), which user 3 must strip
+      before reaching its own layer.
 
     An effective noise of +inf (a user the relay cannot reach) gives that
     user's layers zero rate.

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterator, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -169,28 +169,26 @@ class SystemParams:
         for k, g in enumerate(self.g, 1):
             if g != 0.0 and not 0.0 < g * g < math.inf:
                 raise ValidationError(f"g[{k}] squared leaves float range, got {g}")
-        q, sR2, PR = received_powers(self), self.sigmaR2, self.PR
-        for k, (g, s2, sbar) in enumerate(zip(self.g, self.sigma2, effective_noises(self)), 1):
-            if not q[k - 1] < math.inf:  # inf, or NaN from inf * 0
-                raise ValidationError(f"received power h[{k}]*h[{k}]*P[{k}] overflows a float")
+        for k, sbar in enumerate(effective_noises(self), 1):
             if sbar == 0.0:
                 msg = f"effective noise sigma2[{k}]/(g[{k}]*g[{k}]) underflows to 0"
                 raise ValidationError(msg)
-            # so must every SNR a capacity term takes the log of, spelled as
-            # `capacity_terms` spells it (inf/inf is NaN and fails the test too)
-            if not q[k - 1] / sR2 < math.inf:
-                raise ValidationError(f"uplink SNR h[{k}]*h[{k}]*P[{k}]/sigmaR2 overflows a float")
-            if not g * g * PR / s2 < math.inf:
-                msg = f"downlink SNR g[{k}]*g[{k}]*PR/sigma2[{k}] overflows a float"
-                raise ValidationError(msg)
-        for i, j in PAIR_KEYS:
-            if not (q[i - 1] + q[j - 1]) / sR2 < math.inf:
-                pair = f"h[{i}]*h[{i}]*P[{i}]+h[{j}]*h[{j}]*P[{j}]"
-                raise ValidationError(f"uplink SNR ({pair})/sigmaR2 overflows a float")
+        # so must the received powers and the SNRs (NaN from inf * 0 or inf / inf
+        # fails too); a message names user k as {0} and cross pair k as {1}, {2}
+        q = received_powers(self)
+        up, down, pair = _snrs(self, q)
+        for values, what in (
+            (q, "received power h[{0}]*h[{0}]*P[{0}]"),
+            (up, "uplink SNR h[{0}]*h[{0}]*P[{0}]/sigmaR2"),
+            (down, "downlink SNR g[{0}]*g[{0}]*PR/sigma2[{0}]"),
+            (pair, "uplink SNR (h[{1}]*h[{1}]*P[{1}]+h[{2}]*h[{2}]*P[{2}])/sigmaR2"),
+        ):
+            for k, (x, key) in enumerate(zip(values, PAIR_KEYS), 1):
+                if not x < math.inf:
+                    raise ValidationError(what.format(k, *key) + " overflows a float")
 
 
-@dataclass(frozen=True)
-class RateTuple:
+class RateTuple(tuple):
     """A point in 4-dimensional rate space, one coordinate per user.
 
     Components are clamped at zero on construction: rate expressions that are
@@ -198,20 +196,12 @@ class RateTuple:
     point, and downstream geometry assumes the nonnegative orthant.
     """
 
-    rates: Tuple[float, float, float, float]
+    def __new__(cls, rates) -> "RateTuple":
+        return super().__new__(cls, [v if v > 0.0 else 0.0 for v in _as_float4(rates, "rates")])
 
-    def __init__(self, rates) -> None:
-        vals = _as_float4(rates, "rates")
-        object.__setattr__(self, "rates", tuple(v if v > 0.0 else 0.0 for v in vals))
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.rates)
-
-    def __getitem__(self, k: int) -> float:
-        return self.rates[k]
-
-    def __len__(self) -> int:
-        return 4
+    @property
+    def rates(self) -> Tuple[float, float, float, float]:
+        return self
 
 
 @dataclass(frozen=True)
@@ -304,6 +294,16 @@ def effective_noises(params: SystemParams) -> Tuple[float, ...]:
     return tuple([s / (g * g) if g != 0.0 else math.inf for g, s in zip(params.g, params.sigma2)])
 
 
+def _snrs(params: SystemParams, q: Sequence[float]) -> Tuple[Tuple[float, ...], ...]:
+    """The SNRs whose logs are C_k, D_k and C_ij (per `PAIR_KEYS`), from the powers q."""
+    sR2, PR = params.sigmaR2, params.PR
+    return (
+        tuple([x / sR2 for x in q]),
+        tuple([g * g * PR / s2 for g, s2 in zip(params.g, params.sigma2)]),
+        tuple([(q[i - 1] + q[j - 1]) / sR2 for i, j in PAIR_KEYS]),
+    )
+
+
 def capacity_terms(params: SystemParams) -> CapacityTerms:
     """Compute all single-hop capacity terms for one channel.
 
@@ -315,12 +315,13 @@ def capacity_terms(params: SystemParams) -> CapacityTerms:
         C_ij = 1/2 log2(1 + (h_i^2 P_i + h_j^2 P_j) / sigmaR2) for the four
         cross pairs, and the effective downlink noises sigma2_i / g_i^2.
     """
-    g, s2, sR2, PR = params.g, params.sigma2, params.sigmaR2, params.PR
-    q = received_powers(params)
-    C = tuple(gaussian_layer(x, 0.0, sR2) for x in q)
-    D = tuple(gaussian_layer(g[i] * g[i] * PR, 0.0, s2[i]) for i in range(4))
-    Cpair = {(i, j): gaussian_layer(q[i - 1] + q[j - 1], 0.0, sR2) for (i, j) in PAIR_KEYS}
-    return CapacityTerms(C=C, D=D, Cpair=Cpair, sigma_bar2=effective_noises(params))
+    up, down, pair = _snrs(params, received_powers(params))
+    return CapacityTerms(
+        C=tuple([half_log2_rate(1.0 + x) for x in up]),
+        D=tuple([half_log2_rate(1.0 + x) for x in down]),
+        Cpair={key: half_log2_rate(1.0 + x) for key, x in zip(PAIR_KEYS, pair)},
+        sigma_bar2=effective_noises(params),
+    )
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,7 @@ class RowPattern:
     def region(self, rhs: Iterable[float]) -> "HalfspaceSystem":
         """The system of these rows with user right-hand sides ``rhs``."""
         system = object.__new__(HalfspaceSystem)
-        system._bind(self, [_finite(b, ("rows[{}].b", k)) for k, b in enumerate(rhs, 1)])
+        system._bind(self, rhs)
         return system
 
 
@@ -87,8 +87,7 @@ class HalfspaceSystem:
     n_user_rows: int
 
     def __init__(self, rows: Iterable[Sequence[float]]) -> None:
-        coeffs: List[Sequence[float]] = []
-        rhs: List[float] = []
+        coeffs, rhs = [], []
         for k, entry in enumerate(rows, 1):
             try:
                 a, b = entry
@@ -96,10 +95,11 @@ class HalfspaceSystem:
                 msg = f"rows[{k}] must be ((a1,a2,a3,a4), b), got {entry!r}"
                 raise ValidationError(msg) from None
             coeffs.append(_as_float4(a, ("rows[{}].a", k), _finite))
-            rhs.append(_finite(b, ("rows[{}].b", k)))
+            rhs.append(b)
         self._bind(RowPattern(coeffs), rhs)
 
-    def _bind(self, pattern: RowPattern, rhs: List[float]) -> None:
+    def _bind(self, pattern: RowPattern, rhs: Iterable[float]) -> None:
+        rhs = [_finite(b, ("rows[{}].b", k)) for k, b in enumerate(rhs, 1)]
         b = np.array(rhs + [0.0] * 4)
         b.flags.writeable = False
         object.__setattr__(self, "_pattern", pattern)
@@ -139,8 +139,7 @@ def enumerate_vertices(system: HalfspaceSystem) -> VertexSet:
     A, b = system.arrays()
     pattern = system._pattern
     sols = np.linalg.solve(pattern.sub_A, b[pattern.subsets][..., None])[..., 0]  # (K, 4)
-    feas = (A @ sols.T <= b[:, None] + TIGHT_TOL).all(axis=0)
-    cands = sols[feas]
+    cands = sols[satisfies(system, sols)]
     if cands.size == 0:
         raise InternalConsistencyError("polytope has no vertices (empty system?)")
 
@@ -184,10 +183,16 @@ def maximal_vertices(vs: VertexSet) -> List[RateTuple]:
     return [x for x, d in zip(vs.vertices, dominated) if not d]
 
 
-def contains(system: HalfspaceSystem, point: Sequence[float], tol: float = TIGHT_TOL) -> bool:
-    """True when the point satisfies every row of the system within tol."""
+def satisfies(system: HalfspaceSystem, points: np.ndarray) -> np.ndarray:
+    """The one membership rule: which of the ``(k, 4)`` points satisfy every
+    row a . R <= b of the system within TIGHT_TOL."""
     A, b = system.arrays()
-    return bool((A @ np.array(_as_float4(point, "point")) <= b + tol).all())
+    return (A @ points.T <= b[:, None] + TIGHT_TOL).all(axis=0)
+
+
+def contains(system: HalfspaceSystem, point: Sequence[float]) -> bool:
+    """True when the point satisfies every row of the system (`satisfies`)."""
+    return bool(satisfies(system, np.array([_as_float4(point, "point")]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -200,15 +205,11 @@ def contains(system: HalfspaceSystem, point: Sequence[float], tol: float = TIGHT
 # ---------------------------------------------------------------------------
 
 
-def in_downward_hull(
-    points: Sequence[Sequence[float]],
-    target: Sequence[float],
-    tol: float = TIGHT_TOL,
-) -> bool:
+def in_downward_hull(points: Sequence[Sequence[float]], target: Sequence[float]) -> bool:
     """Decide whether target is dominated by a convex combination of points.
 
     The rule: accept when some convex combination falls short of the
-    target's positive part by at most ``tol`` summed over the four
+    target's positive part by at most TIGHT_TOL summed over the four
     coordinates (the phase-1 LP's minimum artificial cost).
     """
     rows = [_as_float4(p, ("points[{}]", k), _finite) for k, p in enumerate(points, 1)]
@@ -223,11 +224,11 @@ def in_downward_hull(
     #   sum_j lambda_j p_j[i] - s_i = t_i      (i = 1..4)
     #   sum_j lambda_j              = 1
     A = np.block([[pts.T, -np.eye(4)], [np.ones((1, n)), np.zeros((1, 4))]])
-    return _phase1_feasible(A, np.append(t, 1.0), tol)
+    return _phase1_feasible(A, np.append(t, 1.0))
 
 
-def _phase1_feasible(A: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    """Phase-1 simplex: is {x >= 0 : A x = b} nonempty?  b must be >= 0."""
+def _phase1_feasible(A: np.ndarray, b: np.ndarray) -> bool:
+    """Phase-1 simplex: is {x >= 0 : A x = b} nonempty within TIGHT_TOL?  b must be >= 0."""
     m, n = A.shape
     if (b < 0).any():
         raise InternalConsistencyError("phase-1 right-hand side must be nonnegative")
@@ -265,4 +266,4 @@ def _phase1_feasible(A: np.ndarray, b: np.ndarray, tol: float) -> bool:
     else:
         raise InternalConsistencyError("phase-1 simplex exceeded iteration cap")
 
-    return float(cost[basis] @ tab[:, -1]) <= tol
+    return float(cost[basis] @ tab[:, -1]) <= TIGHT_TOL

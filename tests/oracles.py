@@ -16,11 +16,14 @@ from relaygap.certifier import BruteForceReport, OracleRow
 from relaygap.downlink import (
     CASE_SCHEMES,
     SCHEME_LAYERS,
+    SIC_REMOVE,
+    SKIP_KNOWN,
     _recipe,
     alloc_for_vertex,
     classify_case,
     downlink_certificate,
     downlink_vertices,
+    message_plan,
     scheme_map,
 )
 from relaygap.effective import canonicalize
@@ -257,8 +260,9 @@ def random_dyadic_system(rng: np.random.Generator, n_rows: int):
 # and the grid oracle, so agreement between those two says nothing about the
 # formulas themselves.  This reference takes only the synthesized transceiver
 # parameters from the package (decoding orders and power allocations) and
-# recomputes every achieved rate from the coding schemes' definitions in
-# 40-digit arithmetic, without calling any package rate function.
+# recomputes every achieved rate from the coding schemes' definitions (the
+# uplink SIC pass, the downlink message plans) in 40-digit arithmetic,
+# without calling any package rate function.
 # ---------------------------------------------------------------------------
 
 
@@ -285,32 +289,43 @@ def _mp_uplink(alloc, order, sigmaR2):
     return (rate["LA"] + rate["G1"], rate["LA"], rate["LB"] + rate["G3"], rate["LB"])
 
 
-def _mp_downlink(alloc, sbar):
-    """User rates of the superposed broadcast scheme ``alloc.scheme_id``."""
-    p1, p2, p3, p4 = (mpf(v) for v in (alloc.pR1, alloc.pR2, alloc.pR3, alloc.pR4))
-    s1, s2, s3, s4 = (mpf(v) for v in sbar)
-    L = _mp_layer
-    if alloc.scheme_id == "4.1":
-        # pair-B codeword p1 on top, pair-A codeword p2 underneath
-        return (L(p2, 0, s2), L(p2, 0, s1), L(p1, p2, s4), L(p1, p2, s3))
-    if alloc.scheme_id == "4.3":
-        # as 4.1, but user 1 decodes p2 through p1
-        return (L(p2, 0, s2), L(p2, p1, s1), L(p1, p2, s4), L(p1, p2, s3))
-    if alloc.scheme_id == "4.2":
-        # p1 pair-B common, p2 pair-A common, p3 / p4 private parts of users 3 / 1
-        return (
-            L(p4, 0, s2) + L(p2, p3 + p4, s4),
-            L(p2, p3 + p4, s1),
-            L(p1, p2 + p3 + p4, s1) + L(p3, p4, s4),
-            min(L(p1, p2 + p4, s3), L(p1, p2 + p3 + p4, s1)),
-        )
-    # "4.4": p1 pair-A common, p2 pair-B common, p3 user 1's private part
-    return (
-        L(p3, 0, s2) + L(p1, p2 + p3, s3),
-        min(L(p1, p2, s1), L(p1, p2 + p3, s3)),
-        L(p2, p3, s4),
-        L(p2, p3, s3),
-    )
+#: each user's pair lattice message and private remainder (trailing users own none)
+_LATTICE = ("mA", "mA", "mB", "mB")
+_PRIVATE = ("m11", None, "m31", None)
+
+
+def plan_rates(plan, powers, sbar):
+    """User rates read off a message plan, in 40-digit arithmetic.
+
+    ``powers`` are the layer powers (pR1, ..) of the plan's codewords xR1, ..
+    and ``sbar`` the four effective noises.  Each decode step of a user's
+    script runs at `_mp_layer` of its codeword's power under the power of
+    every other codeword that user has neither SIC-removed nor skipped yet.
+    A trailing user's rate is the least rate over all decodes of the codeword
+    carrying its pair's lattice message; a leader's rate sums, over the
+    codewords carrying its lattice message or part of its private remainder,
+    the least rate over the other users' decodes of each.
+    """
+    power = {cw.name: mpf(p) for cw, p in zip(plan.codewords, powers)}
+    decodes = {name: [] for name in power}  # codeword -> [(user, rate)]
+    for user, (script, noise) in enumerate(zip(plan.scripts, sbar)):
+        gone = set()
+        for step in script:
+            if step.action in (SIC_REMOVE, SKIP_KNOWN):
+                gone.add(step.codeword)
+                continue
+            rest = [p for name, p in power.items() if name not in gone and name != step.codeword]
+            rate = _mp_layer(power[step.codeword], sum(rest, mpf(0)), noise)
+            decodes[step.codeword].append((user, rate))
+    rates = []
+    for user, (lattice, private) in enumerate(zip(_LATTICE, _PRIVATE)):
+        ride = [cw.name for cw in plan.codewords
+                if any(m.split(".")[0] in (lattice, private) for m in cw.messages)]
+        if private is None:
+            rates.append(min(rate for _, rate in decodes[ride[0]]))
+        else:
+            rates.append(sum(min(rate for u, rate in decodes[name] if u != user) for name in ride))
+    return tuple(rates)
 
 
 def designated_slacks(params) -> Dict[str, float]:
@@ -318,8 +333,8 @@ def designated_slacks(params) -> Dict[str, float]:
 
     The channel is canonicalized first, as `brute_force_gap` does, so the
     labels match its rows.  Targets are the package's closed-form vertices;
-    achieved rates come from `_mp_uplink` / `_mp_downlink` at the package's
-    decoding orders and power allocations.
+    achieved rates come from `_mp_uplink` and, over the schemes' message plans,
+    `plan_rates`, at the package's decoding orders and power allocations.
     """
     p = canonicalize(params).params
     terms = capacity_terms(p)
@@ -332,7 +347,8 @@ def designated_slacks(params) -> Dict[str, float]:
             out[vertex.label] = float(max(mpf(t) - a for t, a in zip(vertex.rates, achieved)))
         for vertex in downlink_vertices(case, terms):
             dn_alloc, _ = alloc_for_vertex(case, vertex.label, p)
-            achieved = _mp_downlink(dn_alloc, terms.sigma_bar2)
+            powers = (dn_alloc.pR1, dn_alloc.pR2, dn_alloc.pR3, dn_alloc.pR4)
+            achieved = plan_rates(message_plan(case, dn_alloc.scheme_id), powers, terms.sigma_bar2)
             out[vertex.label] = float(max(mpf(t) - a for t, a in zip(vertex.rates, achieved)))
     return out
 

@@ -15,19 +15,35 @@ channel it writes, one line each with its floats as ``float.hex``:
   tight set and maximal flag, the link vertices in all four canonical frames;
 * every ``brute_force_gap(grid_steps=5)`` row.
 
+Then it runs the command line in-process through ``cli.main`` and writes each
+command's exit code and the SHA-256 of its stdout: ``terms``, ``vertices
+--link outer|uplink|downlink``, ``certify`` and ``certify --format csv`` on the
+seed-7 and targeted channels, written to files in a temporary directory;
+``certify --random 20 S`` for S = 0..9; and ``sweep --param PR|sigmaR2`` on the
+two golden channel files.
+
 A line is ``text|floats``.  The rule: the two dumps have the same lines, in
 order, with identical text (labels, cases, subcases, tight sets, pass flags,
-perms), and every float within 1e-14 * max(1, |x|).  Exit code 0 when the rule
-holds, 1 when it breaks.  This file is not collected by pytest.
+perms, exit codes and stdout digests), and every float within
+1e-14 * max(1, |x|).  Exit code 0 when the rule holds, 1 when it breaks.  This
+file is not collected by pytest.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import hashlib
+import io
+import json
+import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 REL_TOL = 1e-14
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 #: (seed, draws, box) for the random part of the channel set
 SETS = ((11, 150, (0.1, 10.0)), (7, 300, (1e-6, 1e6)), (5, 300, (1e-3, 1e3)))
@@ -105,6 +121,51 @@ def dump(out) -> None:
                 (row.recipe_slack, row.free_slack),
                 row.oracle_achieved,
             )
+    from relaygap.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv, shown in commands(Path(tmp)):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            digest = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+            line(f"cli {' '.join(shown)} exit={code} stdout={digest}")
+
+
+def channel_file(path: Path, params) -> None:
+    """Write ``params`` as a channel file that reads back as the same floats."""
+    doc = {}
+    for field in dataclasses.fields(params):
+        value = getattr(params, field.name)
+        if isinstance(value, tuple):
+            value = ["inf" if x == math.inf else x for x in value]
+        doc[field.name] = value
+    path.write_text(json.dumps(doc))
+
+
+def commands(tmp: Path):
+    """The CLI set as (argv, argv as the dump shows it, without file paths)."""
+    per_channel = (
+        ("terms",),
+        ("vertices", "--link", "outer"),
+        ("vertices", "--link", "uplink"),
+        ("vertices", "--link", "downlink"),
+        ("certify",),
+        ("certify", "--format", "csv"),
+    )
+    for cid, params in channels():
+        if cid.startswith(("s7.", "t.")):
+            path = tmp / f"{cid}.json"
+            channel_file(path, params)
+            for cmd, *opts in per_channel:
+                yield [cmd, str(path), *opts], [cmd, cid, *opts]
+    for seed in range(10):
+        argv = ["certify", "--random", "20", str(seed)]
+        yield argv, argv
+    for name in ("unit_channel.json", "mixed_channel.json"):
+        for param, start in (("PR", "0"), ("sigmaR2", "0.25")):
+            opts = ["--param", param, "--from", start, "--to", "4", "--steps", "9"]
+            yield ["sweep", str(GOLDEN / name), *opts], ["sweep", name, *opts]
 
 
 def run_dump(root: Path) -> list:

@@ -153,12 +153,12 @@ def test_criterion_06_every_achieved_tuple_lies_in_its_link_polytope(ensemble):
             up_region = uplink_polytope(terms)
             dn_region = downlink_polytope(classify_case(terms.sigma_bar2), terms)
             for cert in rep.uplink:
-                assert contains(up_region, tuple(cert.achieved), tol=1e-9)
+                assert contains(up_region, tuple(cert.achieved))
             for cert in rep.downlink:
-                assert contains(dn_region, tuple(cert.achieved), tol=1e-9)
+                assert contains(dn_region, tuple(cert.achieved))
         outer = outer_bound(capacity_terms(ch))
         for cert in report.combined:
-            assert contains(outer, tuple(cert.achieved), tol=1e-9)
+            assert contains(outer, tuple(cert.achieved))
 
 
 def _d23_draw(rng):

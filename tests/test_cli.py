@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import io
@@ -121,8 +122,37 @@ def test_stdin_channel(monkeypatch, capsys):
 def test_missing_file_is_a_clean_error(capsys):
     code, out, err = run_main(capsys, "terms", str(GOLDEN / "no_such_channel.json"))
     assert code == 2
-    assert err.startswith("error:")
+    assert err.startswith("error: [Errno 2] No such file or directory: ")
     assert out == ""
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_ends_quietly_with_the_sigpipe_code(capsys):
+    # 141 = 128 + SIGPIPE; 2 would say the channel was rejected
+    for argv in (("terms", str(UNIT_CHANNEL)), ("certify", str(UNIT_CHANNEL), "--format", "csv")):
+        with contextlib.redirect_stdout(_ClosedPipe()):
+            code = main(list(argv))
+        assert code == 141
+        assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_ends_quietly_with_the_sigpipe_code():
+    argv = ["sweep", str(UNIT_CHANNEL), "--param", "PR", "--from", "0", "--to", "4",
+            "--steps", "300"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "relaygap", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert proc.stdout.readline().startswith(b"param,value,")
+    proc.stdout.close()  # as `| head -1` does, long before the sweep is written
+    assert proc.wait(timeout=60) == 141
+    with proc.stderr:
+        assert proc.stderr.read() == b""
 
 
 def test_invalid_json_is_a_clean_error(tmp_path, capsys):

@@ -360,6 +360,7 @@ def test_zero_power_user_is_fine():
 def test_rate_tuple_clamps_negatives_to_zero():
     r = RateTuple((-1e-15, -2.0, 0.5, 1.25))
     assert r.rates == (0.0, 0.0, 0.5, 1.25)
+    assert isinstance(r, tuple) and r == (0.0, 0.0, 0.5, 1.25)
     assert list(r) == [0.0, 0.0, 0.5, 1.25]
     assert r[3] == 1.25
     assert len(r) == 4

@@ -294,10 +294,9 @@ def test_contains_checks_every_row():
     sys_ = unit_box()
     assert contains(sys_, (0.5, 0.5, 0.5, 0.5))
     assert contains(sys_, (1.0, 1.0, 1.0, 1.0))
-    assert contains(sys_, (1.0 + 5e-10, 0.0, 0.0, 0.0))  # inside default tol
+    assert contains(sys_, (1.0 + 5e-10, 0.0, 0.0, 0.0))  # inside TIGHT_TOL
     assert not contains(sys_, (1.1, 0.0, 0.0, 0.0))
     assert not contains(sys_, (-0.1, 0.0, 0.0, 0.0))
-    assert contains(sys_, (1.05, 0.0, 0.0, 0.0), tol=0.1)
 
 
 def test_contains_rejects_malformed_points():

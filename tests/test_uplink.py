@@ -377,4 +377,4 @@ def test_certificates_pass_on_random_canonical_channels():
         for c in uplink_certificate(params):
             assert c.passed
             assert max(c.slack) <= 0.5 + 1e-7
-            assert contains(region, tuple(c.achieved), tol=1e-9)
+            assert contains(region, tuple(c.achieved))

@@ -22,7 +22,7 @@ Three layers of machinery live here:
   orders (uplink) or every admissible broadcast scheme (downlink), evaluated
   on product power grids by the same elementwise rate kernels the
   certificates use (`uplink.sic_rates`, `downlink.scheme_map`), each rate
-  only on the grid axes its powers depend on.  The free
+  only on the grid axes its powers depend on, block by block.  The free
   optimum can sit well below the closed form — the designated constructions
   trade per-vertex optimality for uniform half-bit guarantees — but seeding
   the recipe point guarantees it never sits above.  The independent
@@ -57,6 +57,7 @@ from .model import (
     TIGHT_TOL,
     CapacityTerms,
     GapCertificate,
+    InternalConsistencyError,
     RateTuple,
     SystemParams,
     ValidationError,
@@ -410,50 +411,55 @@ class BruteForceReport:
     rows: Tuple[OracleRow, ...]
 
 
+#: points per block of a grid's first axis: 3 of a 21-step grid's 21 values
+#: (27,783 points, about 220 KB per rate row), so a block's rows stay in cache
+BLOCK_POINTS = 1 << 15
+
+
 def _keep_best(
-    best: Dict[str, Tuple[float, RateTuple]], vertices: Sequence, rows: Sequence, shape: Tuple
+    best: Dict[str, Tuple[float, RateTuple]], vertices: Sequence, what: str, rates, powers: Sequence
 ) -> None:
-    """Fold one product grid of achieved rates (four per-user arrays of
-    ``len(shape)`` axes that broadcast to ``shape``) into ``best``: per vertex
+    """Fold the product grid ``rates(*powers)`` into ``best``: per vertex
     label, the lowest max-component slack seen so far and its rate tuple.
 
-    Vertices are reduced together, a slab of the last three axes at a time:
-    full-size rows through two reused buffers, the rest max-combined on their
-    own shapes and broadcast in once.  Each slack is the same subtraction and
-    exact max as on the flattened grid, and a later column, slab or call wins
-    only when strictly lower, so the first minimiser in C order wins.
+    ``powers`` are arrays of the grid's rank that broadcast to its shape;
+    ``rates`` maps them elementwise to four per-user rate rows, formed one
+    block of the first grid axis at a time.  A vertex searches a block only
+    if its bound is below its incumbent: the least ``max_c fl(V_c - M_c)``
+    over the cells of the last two axes (``M_c`` row c's maximum in a cell),
+    or, if larger, the same over the cells of the other axes.
+    Float subtraction is monotone, so the bound is at most every slack in
+    the block, and a later point wins only when strictly lower.  Each slack
+    is the same subtraction and exact max as on the flattened grid, so the
+    first minimiser in C order wins.  A NaN rate raises naming ``what``.
     """
     V = np.array([vertex.rates for vertex in vertices], dtype=float)
-    lead, tail = shape[:-3], shape[-3:]
-    size = math.prod(tail)
-    targets = [V[:, c].reshape(-1, *[1] * len(tail)) for c in range(4)]
-    slack, term = np.empty((len(V), *tail)), np.empty((len(V), *tail))
-    flat = slack.reshape(len(V), size)
-    value, index = np.full(len(V), math.inf), np.zeros(len(V), dtype=np.intp)
-    every = np.arange(len(V))
-    for offset, at in enumerate(np.ndindex(*lead)):
-        # each row's part of this slab, on the row's own tail shape
-        pieces = [row[tuple(i if m > 1 else 0 for i, m in zip(at, row.shape))] for row in rows]
-        full = [(t, p) for t, p in zip(targets, pieces) if p.size == size]
-        small = [t - p for t, p in zip(targets, pieces) if p.size < size]
-        if full:
-            np.subtract(*full.pop(), out=slack)
-        else:
-            np.copyto(slack, small.pop())
-        for t, p in full:
-            np.maximum(slack, np.subtract(t, p, out=term), out=slack)
-        if small:
-            np.maximum(slack, functools.reduce(np.maximum, small), out=slack)
-        arg = flat.argmin(axis=1)
-        low = flat[every, arg]
-        better = low < value
-        value[better] = low[better]
-        index[better] = arg[better] + offset * size
-    for vertex, v, idx in zip(vertices, value.tolist(), index.tolist()):
-        if vertex.label not in best or v < best[vertex.label][0]:
-            at = np.unravel_index(idx, shape)
-            achieved = tuple(float(np.broadcast_to(row, shape)[at]) for row in rows)
-            best[vertex.label] = (v, RateTuple(achieved))
+    value = np.array([best.get(vertex.label, (math.inf,))[0] for vertex in vertices])
+    won: Dict[int, Tuple[float, ...]] = {}
+    shape = np.broadcast_shapes(*(np.shape(p) for p in powers))
+    step = max(1, BLOCK_POINTS // math.prod(shape[1:]))
+    targets = [V[:, c].reshape(-1, *[1] * len(shape)) for c in range(4)]
+    axes = tuple(range(len(shape)))
+    for lo in range(0, shape[0], step):
+        block = (min(step, shape[0] - lo), *shape[1:])
+        rows = rates(*(p[lo : lo + step] if p.shape[0] > 1 else p for p in powers))
+        bound = np.full(len(V), -math.inf)
+        for half in (axes[:-2], axes[-2:]):
+            if not (bound < value).any():
+                break
+            gaps = [t - row.max(half, keepdims=True) for t, row in zip(targets, rows)]
+            bound = np.maximum(bound, functools.reduce(np.maximum, gaps).reshape(len(V), -1).min(1))
+        if np.isnan(bound).any():
+            raise InternalConsistencyError(f"NaN rate on the oracle grid of {what}")
+        for k in np.flatnonzero(bound < value).tolist():
+            slack = functools.reduce(np.maximum, [t[k] - row for t, row in zip(targets, rows)])
+            slack = np.broadcast_to(slack, block)
+            at = int(slack.argmin())
+            if slack.flat[at] < value[k]:
+                value[k] = slack.flat[at]
+                won[k] = tuple(float(np.broadcast_to(row, block).flat[at]) for row in rows)
+    for k, achieved in won.items():
+        best[vertices[k].label] = (float(value[k]), RateTuple(achieved))
 
 
 def _uplink_oracle(params: SystemParams, terms: CapacityTerms, n: int) -> Dict[str, Tuple[float, RateTuple]]:
@@ -478,12 +484,14 @@ def _uplink_oracle(params: SystemParams, terms: CapacityTerms, n: int) -> Dict[s
 
     vertices = uplink_vertices(terms)
     best: Dict[str, Tuple[float, RateTuple]] = {}
-    orders = list(itertools.permutations((Step.G1, Step.G3, Step.LA, Step.LB)))
-    grid = sic_rates(p10, p11, p30, p31, orders, params.sigmaR2)
-    seeded = sic_rates(*point, orders, params.sigmaR2)
-    for on_grid, at_seed in zip(grid, seeded):
-        for (r10, r11, r30, r31), shape in ((on_grid, (n,) * 4), (at_seed, (1,))):
-            _keep_best(best, vertices, (r10 + r11, r10, r30 + r31, r30), shape)
+    for order in itertools.permutations((Step.G1, Step.G3, Step.LA, Step.LB)):
+        def rates(*powers):
+            ((r10, r11, r30, r31),) = sic_rates(*powers, (order,), params.sigmaR2)
+            return r10 + r11, r10, r30 + r31, r30
+
+        what = "decoding order " + ",".join(step.name for step in order)
+        for powers in ((p10, p11, p30, p31), point):
+            _keep_best(best, vertices, what, rates, powers)
     return best
 
 
@@ -500,17 +508,22 @@ def _downlink_oracle(
     t = np.linspace(0.0, 1.0, n)
     best: Dict[str, Tuple[float, RateTuple]] = {}
     for scheme in CASE_SCHEMES[case]:
-        layers = SCHEME_LAYERS[scheme]
-        pools, rem = [], params.PR
-        for f in np.meshgrid(*[t] * layers, indexing="ij", sparse=True):
-            pools.append(f * rem)
-            rem = rem - pools[-1]
-        pools += [np.zeros((1,) * layers)] * (4 - layers)
-        _keep_best(best, vertices, scheme_map(scheme, pools, terms.sigma_bar2), (n,) * layers)
+        def rates(*powers):
+            return scheme_map(scheme, powers, terms.sigma_bar2)
+
+        def grid_rates(*fractions):
+            pools, rem = [], params.PR
+            for f in fractions:
+                pools.append(f * rem)
+                rem = rem - pools[-1]
+            return rates(*pools, *[np.zeros((1,) * len(pools))] * (4 - len(pools)))
+
+        fractions = np.meshgrid(*[t] * SCHEME_LAYERS[scheme], indexing="ij", sparse=True)
+        _keep_best(best, vertices, f"scheme {scheme}", grid_rates, fractions)
         for alloc in seeds:
             if alloc.scheme_id == scheme:
                 point = [np.array([p]) for p in (alloc.pR1, alloc.pR2, alloc.pR3, alloc.pR4)]
-                _keep_best(best, vertices, scheme_map(scheme, point, terms.sigma_bar2), (1,))
+                _keep_best(best, vertices, f"scheme {scheme}", rates, point)
     return best
 
 
@@ -523,7 +536,9 @@ def brute_force_gap(params: SystemParams, grid_steps: int = 21) -> BruteForceRep
     schemes (``free_slack``).  The grids run through the same rate kernels
     (`uplink.sic_rates`, `downlink.scheme_map`) as the certificates, and the
     closed-form allocations are seeded into them, so ``free_slack`` cannot
-    sit above ``recipe_slack`` by more than float dust.
+    sit above ``recipe_slack`` by more than float dust.  Rates are formed block
+    by block, and each vertex skips the blocks that cannot beat its best so
+    far (`_keep_best`), so the report is the whole grid's.
     """
     if not isinstance(grid_steps, int) or isinstance(grid_steps, bool) or grid_steps < 2:
         raise ValidationError(f"grid_steps must be an integer >= 2, got {grid_steps!r}")

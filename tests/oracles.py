@@ -357,10 +357,11 @@ def designated_slacks(params) -> Dict[str, float]:
 # flattened-grid oracle
 #
 # `certifier.brute_force_gap` evaluates each rate on the product-grid axes it
-# depends on and folds the grid slab by slab with the closed-form seeds as
-# one-point grids; this is the oracle it replaced: every power spread over
-# the whole flattened meshgrid, the seeds appended as extra columns, and one
-# (4, N) temporary and one argmin per vertex.
+# depends on, forms the rates block by block, skips the blocks a bound rules
+# out, and folds the closed-form seeds in as one-point grids; this is the
+# oracle it replaced: every power spread over the whole flattened meshgrid,
+# the seeds appended as extra columns, and one (4, N) temporary and one
+# argmin per vertex.
 # ---------------------------------------------------------------------------
 
 

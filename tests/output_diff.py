@@ -15,6 +15,10 @@ channel it writes, one line each with its floats as ``float.hex``:
   tight set and maximal flag, the link vertices in all four canonical frames;
 * every ``brute_force_gap(grid_steps=5)`` row.
 
+It also writes every ``brute_force_gap(grid_steps=21)`` row of the first 20
+seed-90210 default-box channels, the grid size at which the oracle's fold
+splits the first grid axis into blocks.
+
 Then it runs the command line in-process through ``cli.main`` and writes each
 command's exit code and the SHA-256 of its stdout: ``terms``, ``vertices
 --link outer|uplink|downlink``, ``certify`` and ``certify --format csv`` on the
@@ -61,6 +65,7 @@ def channels():
 
 
 def dump(out) -> None:
+    import numpy as np
     from relaygap import (
         brute_force_gap,
         canonicalize,
@@ -70,6 +75,7 @@ def dump(out) -> None:
         enumerate_vertices,
         maximal_vertices,
         outer_bound,
+        random_channel,
         uplink_polytope,
         verify_theorem1,
     )
@@ -117,6 +123,14 @@ def dump(out) -> None:
         for row in brute_force_gap(params, grid_steps=5).rows:
             line(
                 f"{cid} oracle {row.link} {row.vertex_label}",
+                (row.recipe_slack, row.free_slack),
+                row.oracle_achieved,
+            )
+    rng = np.random.default_rng(90210)
+    for k in range(20):
+        for row in brute_force_gap(random_channel(rng), grid_steps=21).rows:
+            line(
+                f"s90210.{k} oracle21 {row.link} {row.vertex_label}",
                 (row.recipe_slack, row.free_slack),
                 row.oracle_achieved,
             )

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,13 @@ from relaygap.downlink import (
     downlink_vertices,
 )
 from relaygap.effective import canonicalize
-from relaygap.model import RateTuple, SystemParams, ValidationError, capacity_terms
+from relaygap.model import (
+    InternalConsistencyError,
+    RateTuple,
+    SystemParams,
+    ValidationError,
+    capacity_terms,
+)
 from relaygap.polytope import enumerate_vertices, in_downward_hull, maximal_vertices
 from relaygap.uplink import uplink_vertices
 
@@ -365,32 +372,38 @@ def test_oracle_slacks_never_beat_the_recipe_and_never_lose_to_it():
 Vertex = collections.namedtuple("Vertex", "label rates")
 
 
-def _whole_grid_fold(best, vertices, rows, shape):
+def _whole_grid_fold(best, vertices, rows):
+    shape = np.broadcast_shapes(*(row.shape for row in rows))
     flat = tuple(np.broadcast_to(row, shape).ravel() for row in rows)
     oracles.reference_keep_best(best, vertices, flat)
 
 
-def _fold_both(calls, vertices):
-    """Run `certifier._keep_best` over a sequence of (rows, shape) product
-    grids, and the whole-grid reference over the same rows broadcast and
-    flattened; return both results as float.hex strings."""
-    results = []
-    for fold in (certifier._keep_best, _whole_grid_fold):
-        best = {}
-        for rows, shape in calls:
-            fold(best, vertices, rows, shape)
-        results.append({
-            label: (value.hex(), [c.hex() for c in achieved])
-            for label, (value, achieved) in best.items()
-        })
-    return results
+def _fold_both(grids, vertices, block_points):
+    """Run `certifier._keep_best` over a sequence of product grids of rate
+    rows (each row its own power, so the fold forms the rows block by block)
+    with ``block_points`` per block, and the whole-grid reference over the
+    same rows broadcast and flattened; return both results as float.hex
+    strings."""
+    blocked, whole = {}, {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(certifier, "BLOCK_POINTS", block_points)
+        for rows in grids:
+            certifier._keep_best(blocked, vertices, "test grid", lambda *r: r, rows)
+            _whole_grid_fold(whole, vertices, rows)
+    return [
+        {label: (value.hex(), [c.hex() for c in achieved]) for label, (value, achieved) in best.items()}
+        for best in (blocked, whole)
+    ]
 
 
-#: a 4-axis product grid of 4 slabs of 5 * 6 * 7 = 210 columns each
+#: a 4-axis product grid of 4 slabs of 5 * 6 * 7 = 210 points each
 GRID = (4, 5, 6, 7)
 SLAB = 5 * 6 * 7
-#: a full row, two that skip grid axes, and one constant along the slab axis
+#: a full row, two that skip grid axes, and one constant along the first axis
 ROW_SHAPES = (GRID, (4, 5, 1, 1), (1, 1, 6, 1), (1, 5, 6, 7))
+#: blocks of one slab, of two, of three and a ragged last one, and the
+#: package's own size, under which a grid this small is one block
+BLOCKINGS = (SLAB, 2 * SLAB, 3 * SLAB, certifier.BLOCK_POINTS)
 
 
 def test_blocked_fold_matches_the_whole_grid_fold():
@@ -399,25 +412,36 @@ def test_blocked_fold_matches_the_whole_grid_fold():
     coarse = [Vertex(f"C{k}", tuple(rng.integers(0, 12, 4) / 4)) for k in range(5)]
     # and one vertex per row whose slack only that row sets
     coarse += [Vertex(f"E{c}", tuple(3.0 * np.eye(4)[c])) for c in range(4)]
-    # one, two or no full-size rows per slab, in any position
+    # one, two or no full-size rows per block, in any position
     for shapes in (ROW_SHAPES, ROW_SHAPES[::-1], (GRID, (1, 1, 6, 1), GRID, (4, 5, 1, 1)),
                    ((4, 5, 1, 1), (1, 1, 6, 1), (4, 1, 1, 7), (1, 5, 6, 1))):
         rows = tuple(rng.integers(0, 8, shape) / 4 for shape in shapes)
-        fast, slow = _fold_both([(rows, GRID)], coarse)
-        assert fast == slow
-    # a grid of fewer than three axes is one slab; a one-point grid is a seed
-    for shape, shapes in (((5, 6), ((5, 6), (5, 1), (1, 6), (1, 1))), ((1,), [(1,)] * 4)):
+        for block_points in BLOCKINGS:
+            fast, slow = _fold_both([rows], coarse, block_points)
+            assert fast == slow
+    # grids of one, two and three axes, in blocks of one first-axis value or
+    # whole: a one-point grid is a seed, and on two axes every bound is the
+    # exact slack
+    for shapes in ([(1,)] * 4, ((5, 6), (5, 1), (1, 6), (1, 1)),
+                   ((3, 5, 6), (3, 1, 6), (1, 5, 1), (3, 5, 6))):
         rows = tuple(rng.integers(0, 8, row_shape) / 4 for row_shape in shapes)
-        fast, slow = _fold_both([(rows, shape)], coarse)
-        assert fast == slow
+        for block_points in (1, certifier.BLOCK_POINTS):
+            fast, slow = _fold_both([rows], coarse, block_points)
+            assert fast == slow
 
 
 def _planted_grid():
     """Rates below 1 (slack >= 2 elsewhere) with planted ties at slack 0.5
     for three vertices, each reading one row: across the boundary of slabs 1
     and 2 (full row), inside a row that skips the last two axes, and inside
-    a row constant along the slab axis.  Returns the rows, the vertices and
-    each vertex's first minimiser in C order."""
+    a row constant along the first axis.  Returns the rows, the vertices and
+    each vertex's first minimiser in C order.
+
+    In blocks of one slab each tie is met again in a later block whose bound
+    for that vertex equals its incumbent exactly: slab 2 for "B" (the tie
+    straddles the block boundary) and "R", every slab after 0 for "S".  In
+    slab 1, "R" must search (its incumbent is still >= 2) while "S" may skip.
+    """
     rng = np.random.default_rng(5)
     rows = [rng.uniform(0.0, 1.0, shape) for shape in ROW_SHAPES]
     rows[0].flat[2 * SLAB - 1] = rows[0].flat[2 * SLAB] = 2.5
@@ -432,30 +456,75 @@ def _planted_grid():
     return tuple(rows), vertices, first
 
 
-def _tuple_at(rows, shape, at):
+def _tuple_at(rows, at):
+    shape = np.broadcast_shapes(*(row.shape for row in rows))
     return [float(np.broadcast_to(row, shape)[at]).hex() for row in rows]
 
 
 def test_slab_fold_keeps_the_first_minimiser_across_slabs_and_inside_reduced_rows():
     rows, vertices, first = _planted_grid()
-    fast, slow = _fold_both([(rows, GRID)], vertices)
-    assert fast == slow
-    for label, at in first.items():
-        assert fast[label] == (0.5.hex(), _tuple_at(rows, GRID, at)), label
+    # the later tie's block holds the same maximum of the vertex's row as the
+    # first tie's, so its bound is the incumbent exactly
+    assert rows[0][2].max() == rows[0][1].max() == rows[1][2].max() == rows[3].max() == 2.5
+    for block_points in BLOCKINGS:
+        fast, slow = _fold_both([rows], vertices, block_points)
+        assert fast == slow
+        for label, at in first.items():
+            assert fast[label] == (0.5.hex(), _tuple_at(rows, at)), (label, block_points)
 
 
 def test_a_seed_call_replaces_the_grid_best_only_when_strictly_lower():
     rows, vertices, first = _planted_grid()
     tie = (np.array([2.5]), np.array([0.25]), np.array([0.5]), np.array([0.75]))
     lower = (np.array([2.625]), *tie[1:])
-    grid = _tuple_at(rows, GRID, first["B"])
-    for calls, value, winner in (
-        ([(rows, GRID), (tie, (1,))], 0.5, grid),
-        ([(rows, GRID), (tie, (1,)), (lower, (1,))], 0.375, [float(r[0]).hex() for r in lower]),
+    grid = _tuple_at(rows, first["B"])
+    for grids, value, winner in (
+        ([rows, tie], 0.5, grid),
+        ([rows, tie, lower], 0.375, [float(r[0]).hex() for r in lower]),
     ):
-        fast, slow = _fold_both(calls, vertices)
-        assert fast == slow
-        assert fast["B"] == (value.hex(), winner)
+        for block_points in BLOCKINGS:
+            fast, slow = _fold_both(grids, vertices, block_points)
+            assert fast == slow
+            assert fast["B"] == (value.hex(), winner)
+
+
+def test_a_nan_rate_raises_naming_its_grid(monkeypatch):
+    # the block maxima carry a NaN into the bound, where the fold stops
+    rows, vertices, _ = _planted_grid()
+    rows = [row.copy() for row in rows]
+    rows[2][0, 0, 3, 0] = np.nan
+    with np.errstate(all="ignore"), pytest.raises(InternalConsistencyError, match="test grid"):
+        certifier._keep_best({}, vertices, "test grid", lambda *r: r, rows)
+
+    sic_rates, scheme_map = certifier.sic_rates, certifier.scheme_map
+
+    def poisoned_sic(*args):
+        for r10, r11, r30, r31 in sic_rates(*args):
+            yield r10, r11 * np.nan, r30, r31
+
+    def poisoned_map(*args):
+        r1, *rest = scheme_map(*args)
+        return (r1 * np.nan, *rest)
+
+    for name, poisoned, message in (("sic_rates", poisoned_sic, "decoding order G1,G3,LA,LB"),
+                                    ("scheme_map", poisoned_map, "scheme 4.1")):
+        with monkeypatch.context() as patch:
+            patch.setattr(certifier, name, poisoned)
+            with np.errstate(all="ignore"), pytest.raises(InternalConsistencyError, match=message):
+                brute_force_gap(unit_gain(), grid_steps=3)
+
+
+@pytest.mark.parametrize("params", [unit_gain(), targeted_channels()[2]], ids=["case_I", "case_II"])
+def test_one_oracle_call_peaks_under_five_mib(params):
+    # case II admits the four-layer scheme "4.2", the largest downlink grid
+    brute_force_gap(params, grid_steps=21)
+    tracemalloc.start()
+    try:
+        brute_force_gap(params, grid_steps=21)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 def _wide(seed, count):

@@ -43,7 +43,6 @@ from .downlink import classify_case
 from .effective import canonicalize
 from .model import (
     CapacityTerms,
-    GapCertificate,
     InternalConsistencyError,
     SystemParams,
     ValidationError,
@@ -73,12 +72,25 @@ def _jnum(x: float) -> str:
     return format(x, ".12g")
 
 
-def _csv_cells(values) -> List[str]:
-    return [_jnum(v).strip('"') for v in values]
+def _jnum4(v) -> str:
+    """`_jnum` of each of four numbers, ", "-joined; one format if their sum is finite."""
+    if math.isfinite(v[0] + v[1] + v[2] + v[3]):
+        return "%.12g, %.12g, %.12g, %.12g" % tuple(v)
+    return ", ".join(map(_jnum, v))
+
+
+def _csv4(*vectors) -> List[str]:
+    """CSV cells of 4-vectors: `_jnum4`'s numbers, unquoted."""
+    return ", ".join(map(_jnum4, vectors)).replace('"', "").split(", ")
 
 
 #: the json module's own string encoder (what json.dumps calls for a str)
 _jstr = json.encoder.encode_basestring_ascii
+
+
+def _json_list(items: List[str], pad: str) -> str:
+    """`_render`'s multiline list at ``pad``, of items rendered one level in."""
+    return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
 
 
 def _render(node, pad: str = "") -> str:
@@ -94,16 +106,12 @@ def _render(node, pad: str = "") -> str:
         return int.__repr__(node)
     inner = pad + "  "
     if isinstance(node, dict):
-        if not node:
-            return "{}"
         parts = [f"{inner}{_jstr(k)}: {_render(v, inner)}" for k, v in node.items()]
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
+        return "{\n" + ",\n".join(parts) + f"\n{pad}}}" if parts else "{}"
     if isinstance(node, (list, tuple)):
-        if not node:
-            return "[]"
-        if not any(isinstance(v, (dict, list, tuple)) for v in node):
+        if not any(isinstance(v, (dict, list, tuple)) for v in node):  # [] too
             return "[" + ", ".join(_render(v) for v in node) + "]"
-        return "[\n" + ",\n".join(inner + _render(v, inner) for v in node) + f"\n{pad}]"
+        return _json_list([inner + _render(v, inner) for v in node], pad)
     raise InternalConsistencyError(f"cannot render {type(node).__name__} into a report")
 
 
@@ -194,33 +202,34 @@ def _terms_doc(terms: CapacityTerms) -> dict:
     }
 
 
-def _cert_doc(cert: GapCertificate) -> dict:
-    return {
-        "link": cert.link,
-        "label": cert.vertex_label,
-        "subcase": cert.subcase,
-        "target": list(cert.target),
-        "achieved": list(cert.achieved),
-        "slack": list(cert.slack),
-        "pass": cert.passed,
-    }
+def _certs_json(certs, pad: str) -> str:
+    """Certificates as `_render` writes their list at ``pad``: one f-string per
+    certificate, its seven keys in order, each 4-vector through `_jnum4`."""
+    i, k = pad + "  ", pad + "    "
+    return _json_list([
+        f'{i}{{\n{k}"link": {_jstr(c.link)},\n{k}"label": {_jstr(c.vertex_label)},\n'
+        f'{k}"subcase": {_jstr(c.subcase)},\n{k}"target": [{_jnum4(c.target)}],\n'
+        f'{k}"achieved": [{_jnum4(c.achieved)}],\n{k}"slack": [{_jnum4(c.slack)}],\n'
+        f'{k}"pass": {"true" if c.passed else "false"}\n{i}}}'
+        for c in certs
+    ], pad)
 
 
-def _theorem_doc(params: SystemParams, report: Theorem1Report) -> dict:
-    return {
-        "channel": _channel_doc(params),
-        "orderings": [
-            {
-                "rateOrder": list(rep.rate_order),
-                "perm": list(rep.perm),
-                "uplink": [_cert_doc(c) for c in rep.uplink],
-                "downlink": [_cert_doc(c) for c in rep.downlink],
-            }
-            for rep in report.orderings
-        ],
-        "combined": [_cert_doc(c) for c in report.combined],
-        "pass": report.passed,
-    }
+def _theorem_json(params: SystemParams, report: Theorem1Report) -> str:
+    """The ``certify CHANNEL`` report by its fixed shape; `_render` writes the channel."""
+    orderings = [
+        '    {\n      "rateOrder": [%d, %d],\n      "perm": [%d, %d, %d, %d],\n'
+        % (*rep.rate_order, *rep.perm)
+        + f'      "uplink": {_certs_json(rep.uplink, "      ")},\n'
+        f'      "downlink": {_certs_json(rep.downlink, "      ")}\n    }}'
+        for rep in report.orderings
+    ]
+    return (
+        f'{{\n  "channel": {_render(_channel_doc(params), "  ")},\n'
+        f'  "orderings": {_json_list(orderings, "  ")},\n'
+        f'  "combined": {_certs_json(report.combined, "  ")},\n'
+        f'  "pass": {"true" if report.passed else "false"}\n}}'
+    )
 
 
 def _mc_doc(report: MonteCarloReport) -> dict:
@@ -275,7 +284,7 @@ def _cert_csv_rows(report: Theorem1Report, mids: Sequence[str] = ()) -> List[Lis
             cert.vertex_label,
             cert.subcase,
             *mids,
-            *_csv_cells((*cert.target, *cert.achieved, *cert.slack)),
+            *_csv4(cert.target, cert.achieved, cert.slack),
             "true" if cert.passed else "false",
         ]
         for order, cert in _certificates_of(report)
@@ -334,7 +343,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     params = _load_channel(args.channel)
     report = verify_theorem1(params)
     if args.format == "json":
-        print(_render(_theorem_doc(params, report)))
+        print(_theorem_json(params, report))
     else:
         rows = _cert_csv_rows(report)  # all rows first: a NaN exits 3 before any output
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -370,8 +379,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         swept = dataclasses.replace(params, **{args.param: value})
         terms = capacity_terms(swept)
         report = verify_theorem1(swept)
-        prefix = [args.param, *_csv_cells((value,))]
-        mids = _csv_cells((*terms.C, *terms.D))
+        prefix = [args.param, _jnum(value)]  # a sweep value is finite
+        mids = _csv4(terms.C, terms.D)
         writer.writerows(prefix + row for row in _cert_csv_rows(report, mids))
     return 0
 

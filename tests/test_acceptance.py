@@ -282,6 +282,9 @@ def test_criterion_09_oracle_agrees_with_the_closed_forms():
             ("sweep", str(GOLDEN / "unit_channel.json"), "--param", "PR",
              "--from", "0", "--to", "4", "--steps", "5"),
         ),
+        ("certify_mixed.json", ("certify", str(GOLDEN / "mixed_channel.json"))),
+        # g[3] = 0 and sigma2[3] = "inf": the sentinel in the channel block
+        ("certify_unreachable.json", ("certify", str(GOLDEN / "unreachable_channel.json"))),
     ],
 )
 def test_criterion_10_reports_are_deterministic_and_match_goldens(

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import relaygap.cli as cli
-from relaygap.certifier import random_channel
-from relaygap.cli import _jnum, _render, main, parse_channel
+from relaygap.certifier import random_channel, targeted_channels, verify_theorem1
+from relaygap.cli import _csv4, _jnum, _jnum4, _render, main, parse_channel
 from relaygap.model import (
     InternalConsistencyError,
     ValidationError,
@@ -23,6 +23,8 @@ from relaygap.model import (
 GOLDEN = Path(__file__).parent / "golden"
 UNIT_CHANNEL = GOLDEN / "unit_channel.json"
 MIXED_CHANNEL = GOLDEN / "mixed_channel.json"
+#: user 3 hears nothing: g[3] = 0 and sigma2[3] = "inf", the unreachable sentinel
+UNREACHABLE_CHANNEL = GOLDEN / "unreachable_channel.json"
 
 
 def run_main(capsys, *argv):
@@ -44,6 +46,23 @@ def test_number_rendering():
     assert _jnum(0.7924812503605781) == "0.792481250361"
     with pytest.raises(InternalConsistencyError):
         _jnum(math.nan)
+
+
+#: report numbers at the edges of `_jnum`'s rule: a signed zero, the least
+#: subnormal, a number `%.12g` writes with an exponent, both infinities, and a
+#: finite pair whose sum overflows
+EDGE_NUMBERS = (-0.0, 5e-324, 1e21, math.inf, -math.inf, 1e308, 1e308)
+
+
+def test_batched_number_rule_agrees_with_jnum():
+    vectors = [EDGE_NUMBERS[i:i + 4] for i in range(len(EDGE_NUMBERS) - 3)]
+    vectors += [(-0.0, 5e-324, 1e21, 0.5), (1e308, 1e308, 0.0, 0.0), (1.0, 0.1, 1 / 3, 7e-7)]
+    for v in vectors:
+        assert _jnum4(v) == ", ".join(_jnum(x) for x in v)
+        assert _csv4(v, v[::-1]) == [_jnum(x).strip('"') for x in (*v, *v[::-1])]
+    for bad in ((math.nan, 0.0, 0.0, 0.0), (math.inf, -math.inf, 0.0, math.nan)):
+        with pytest.raises(InternalConsistencyError, match="NaN"):
+            _jnum4(bad)
 
 
 def test_render_shapes():
@@ -307,16 +326,29 @@ def test_internal_fault_exits_three(monkeypatch, capsys):
     ]
 
 
-def test_nan_in_a_csv_report_exits_three(monkeypatch, capsys):
+def run_with_a_nan_slack(monkeypatch, capsys, *argv):
     real = cli.verify_theorem1
 
+    # the last certificate is the bad one: nothing may be printed before the
+    # whole report is written
     def leaky(params):
         report = real(params)
-        bad = dataclasses.replace(report.combined[0], slack=(math.nan, 0.0, 0.0, 0.0))
-        return dataclasses.replace(report, combined=(bad, *report.combined[1:]))
+        bad = dataclasses.replace(report.combined[-1], slack=(math.nan, 0.0, 0.0, 0.0))
+        return dataclasses.replace(report, combined=(*report.combined[:-1], bad))
 
     monkeypatch.setattr(cli, "verify_theorem1", leaky)
-    code, out, err = run_main(capsys, "certify", str(UNIT_CHANNEL), "--format", "csv")
+    return run_main(capsys, "certify", str(UNIT_CHANNEL), *argv)
+
+
+def test_nan_in_a_csv_report_exits_three(monkeypatch, capsys):
+    code, out, err = run_with_a_nan_slack(monkeypatch, capsys, "--format", "csv")
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == ["error: internal consistency: NaN leaked into a report"]
+
+
+def test_nan_in_a_json_report_exits_three(monkeypatch, capsys):
+    code, out, err = run_with_a_nan_slack(monkeypatch, capsys)
     assert code == 3
     assert out == ""
     assert err.splitlines() == ["error: internal consistency: NaN leaked into a report"]
@@ -497,6 +529,102 @@ def test_output_matches_golden(capsys, golden_name, argv):
     code, out, _ = run_main(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / golden_name).read_text()
+
+
+# ---------------------------------------------------------------------------
+# the certify writer against the generic renderer
+# ---------------------------------------------------------------------------
+
+
+def reference_cert_doc(cert) -> dict:
+    return {
+        "link": cert.link,
+        "label": cert.vertex_label,
+        "subcase": cert.subcase,
+        "target": list(cert.target),
+        "achieved": list(cert.achieved),
+        "slack": list(cert.slack),
+        "pass": cert.passed,
+    }
+
+
+def reference_doc(params, report) -> dict:
+    """The ``certify CHANNEL`` report as a document for `_render`; the CLI's
+    fixed-shape writer must print exactly what `_render` makes of it."""
+    return {
+        "channel": {f.name: getattr(params, f.name) for f in dataclasses.fields(params)},
+        "orderings": [
+            {
+                "rateOrder": list(rep.rate_order),
+                "perm": list(rep.perm),
+                "uplink": [reference_cert_doc(c) for c in rep.uplink],
+                "downlink": [reference_cert_doc(c) for c in rep.downlink],
+            }
+            for rep in report.orderings
+        ],
+        "combined": [reference_cert_doc(c) for c in report.combined],
+        "pass": report.passed,
+    }
+
+
+def reference_csv(report) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(cli._CERT_HEADER)
+    for order, cert in cli._certificates_of(report):
+        numbers = (*cert.target, *cert.achieved, *cert.slack)
+        writer.writerow([
+            f"{order[0]}-{order[1]}" if order else "", cert.link, cert.vertex_label,
+            cert.subcase, *(_jnum(v).strip('"') for v in numbers),
+            "true" if cert.passed else "false",
+        ])
+    return out.getvalue()
+
+
+def test_certify_writer_matches_the_generic_renderer(capsys, tmp_path):
+    box = (1e-6, 1e6)
+    rng = np.random.default_rng(7)
+    channels = [*targeted_channels(), *(random_channel(rng, box, box, box) for _ in range(40))]
+    paths = [UNIT_CHANNEL, MIXED_CHANNEL, UNREACHABLE_CHANNEL]
+    for k, params in enumerate(channels):
+        paths.append(tmp_path / f"channel{k}.json")
+        paths[-1].write_text(json.dumps(dataclasses.asdict(params)).replace("Infinity", '"inf"'))
+    for path in paths:
+        params = parse_channel(json.loads(path.read_text()))
+        code, out, _ = run_main(capsys, "certify", str(path))
+        assert code == 0, path.name
+        assert out == _render(reference_doc(params, verify_theorem1(params))) + "\n", path.name
+
+
+def test_certify_writer_matches_the_generic_renderer_on_edge_numbers(monkeypatch, capsys):
+    real = cli.verify_theorem1
+
+    def planting(params):
+        report = real(params)
+        first = report.orderings[0]
+        odd = dataclasses.replace(
+            first.downlink[0],
+            target=(*EDGE_NUMBERS[:3], 0.5),  # finite: one format call
+            achieved=(*EDGE_NUMBERS[3:5], 0.0, 1.0),  # infinities: one by one
+            slack=(*EDGE_NUMBERS[5:], -0.0, 5e-324),  # finite, but the sum overflows
+        )
+        first = dataclasses.replace(first, downlink=(odd, *first.downlink[1:]))
+        return dataclasses.replace(
+            report,
+            orderings=(first, *report.orderings[1:]),
+            combined=(*report.combined, dataclasses.replace(odd, link="combined")),
+        )
+
+    monkeypatch.setattr(cli, "verify_theorem1", planting)
+    params = parse_channel(json.loads(MIXED_CHANNEL.read_text()))
+    report = planting(params)
+    _, out, _ = run_main(capsys, "certify", str(MIXED_CHANNEL))
+    assert out == _render(reference_doc(params, report)) + "\n"
+    assert '"achieved": ["inf", "-inf", 0, 1]' in out
+    assert '"slack": [1e+308, 1e+308, -0, 4.94065645841e-324]' in out
+    _, out, _ = run_main(capsys, "certify", str(MIXED_CHANNEL), "--format", "csv")
+    assert out == reference_csv(report)
+    assert ",-0,4.94065645841e-324,1e+21,0.5,inf,-inf,0,1,1e+308,1e+308,-0," in out
 
 
 def test_module_entry_point_matches_in_process_output(capsys):

@@ -349,6 +349,18 @@ def test_hull_membership_requires_convex_weights_not_scaling():
     assert not in_downward_hull(pts, (0.9, 0.9, 0.2, 0.2))
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: a pivot just above the LP's pivot tolerance leaves the basis "
+    "primal-infeasible while the artificial cost reads 0; the fix removes this mark",
+)
+@pytest.mark.parametrize("target", [(0.0, 2.0, 0.00390625, 0.0), (0.0, 2.0, 1.0, 0.0)])
+def test_a_target_past_every_points_second_coordinate_is_outside_the_hull(target):
+    # no point's second coordinate exceeds 1, so no convex combination reaches 2
+    pts = [(0.0, 0.0, 1.0, 1.0), (1.0, 0.0, 0.0, 1e-11), (0.0, 1.0, 1.0, 1e-15)]
+    assert in_downward_hull(pts, target) is False
+
+
 point4 = st.tuples(*[st.floats(min_value=0.0, max_value=2.0) for _ in range(4)])
 
 

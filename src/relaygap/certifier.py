@@ -209,9 +209,13 @@ def _check_range(name: str, rng: Sequence[float]) -> Tuple[float, float]:
 
 
 def _check_seed(seed):
-    """Return the seed, rejecting a negative integer (numpy seeds from
-    non-negative integers only)."""
-    if isinstance(seed, (int, np.integer)) and seed < 0:
+    """Return the seed: a numpy Generator, or an integer >= 0 (numpy seeds
+    from non-negative integers only)."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+        raise ValidationError(f"seed must be an integer or a numpy Generator, got {seed!r}")
+    if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     return seed
 
@@ -499,9 +503,9 @@ def _downlink_oracle(
     params: SystemParams, terms: CapacityTerms, n: int
 ) -> Dict[str, Tuple[float, RateTuple]]:
     """Best grid slack per downlink vertex over every scheme the case admits:
-    used layer k takes grid fraction k of the budget the layers before it
-    left (so it lives on grid axes 0..k), unused layers stay at zero, and
-    each vertex's recipe is folded in as a one-point grid after its scheme's."""
+    layer k of the scheme takes grid fraction k of the budget the layers
+    before it left (so it lives on grid axes 0..k), and each vertex's recipe
+    is folded in as a one-point grid after its scheme's."""
     case = classify_case(terms.sigma_bar2)
     vertices = downlink_vertices(case, terms)
     seeds = [_recipe(vertex.label, params.PR, terms.sigma_bar2)[0] for vertex in vertices]
@@ -516,7 +520,7 @@ def _downlink_oracle(
             for f in fractions:
                 pools.append(f * rem)
                 rem = rem - pools[-1]
-            return rates(*pools, *[np.zeros((1,) * len(pools))] * (4 - len(pools)))
+            return rates(*pools)
 
         fractions = np.meshgrid(*[t] * SCHEME_LAYERS[scheme], indexing="ij", sparse=True)
         _keep_best(best, vertices, f"scheme {scheme}", grid_rates, fractions)

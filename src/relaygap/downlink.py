@@ -18,7 +18,8 @@ vertices (labels ``D1.1`` .. ``D3.5``).  Every vertex has a closed-form relay
 power recipe, branching on how the power budget compares with the effective
 noises; some branches pin only the *sum* of the two weakest layers and leave
 the split to an interval rule (`pr4_interval`).  `message_plan` spells out
-which user messages ride which relay codeword and how each user unwraps them.
+which user messages ride which relay codeword and how each user unwraps them,
+and each scheme's rate map (`scheme_map`) is read off that plan.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .bounds import downlink_polytope, link_certificates, require_noise_order
+from .bounds import _NOISE_ORDERS, downlink_polytope, link_certificates, require_noise_order
 from .model import (
     CapacityTerms,
     CaseLabel,
@@ -47,10 +48,6 @@ from .model import (
     nonneg,
 )
 
-
-#: broadcast layers each scheme uses; layers above the count carry no power
-SCHEME_LAYERS: Dict[str, int] = {"4.1": 2, "4.2": 4, "4.3": 2, "4.4": 3}
-SCHEME_IDS = tuple(SCHEME_LAYERS)
 
 #: broadcast schemes whose rate map is valid under each case's ordering
 CASE_SCHEMES: Dict[CaseLabel, Tuple[str, ...]] = {
@@ -124,48 +121,27 @@ def classify_case(sigma_bar2: Sequence[float]) -> CaseLabel:
 
 
 def scheme_map(scheme_id: str, p: Sequence, sigma_bar2: Sequence[float]):
-    """The four user rates of one broadcast scheme at layer powers
-    ``p = (pR1, pR2, pR3, pR4)``, elementwise over floats or numpy arrays that
-    broadcast together; inputs are not validated here (`scheme_rates` is).
-
-    * "4.1" (case I): the pair-B codeword (pR1) is decoded first everywhere,
-      the pair-A codeword (pR2) rides underneath.
-    * "4.2" (case II): layer 1 carries the pair-B common part, layer 2 the
-      pair-A common part, layers 3 and 4 the split-out private remainders of
-      users 3 and 1.  User 4's rate is capped by the worse of user 3's
-      self-decode of layer 1 (sbar3) and user 1's plain decode of it (sbar1):
-      the common part must survive both.
-    * "4.3" (case II): the "4.1" layout, but user 1 decodes its layer
-      directly through the pair-B codeword's interference.
-    * "4.4" (case III): layer 1 carries the pair-A common part, layer 2 the
-      pair-B common part, layer 3 user 1's split-out private remainder.
-      User 2's rate is capped by the worse of user 1's self-decode of layer 1
-      (sbar1) and user 3's plain decode of it (sbar3), which user 3 must strip
-      before reaching its own layer.
-
-    An effective noise of +inf (a user the relay cannot reach) gives that
-    user's layers zero rate.
+    """The four user rates of one broadcast scheme at layer powers ``p =
+    (pR1, pR2, ..)``, one per layer it uses (more are not read), elementwise
+    over floats or numpy arrays that broadcast together; inputs are not
+    validated here (`scheme_rates` is).  The rates are read off the scheme's
+    message plan (`_compile`); a decode's interference is the power of the
+    layers still in the way, added in layer order.  An effective noise of
+    +inf (a user the relay cannot reach) gives that user's decodes zero rate.
     """
-    s1, s2, s3, s4 = sigma_bar2
-    pR1, pR2, pR3, pR4 = p
-    layer = gaussian_layer
-    if scheme_id == "4.1":
-        return (layer(pR2, 0.0, s2), layer(pR2, 0.0, s1), layer(pR1, pR2, s4), layer(pR1, pR2, s3))
-    if scheme_id == "4.2":
-        return (
-            layer(pR4, 0.0, s2) + layer(pR2, pR3 + pR4, s4),
-            layer(pR2, pR3 + pR4, s1),
-            layer(pR1, pR2 + pR3 + pR4, s1) + layer(pR3, pR4, s4),
-            layer(pR1, pR2 + pR4, s3, cap=layer(pR1, pR2 + pR3 + pR4, s1)),
-        )
-    if scheme_id == "4.3":
-        return (layer(pR2, 0.0, s2), layer(pR2, pR1, s1), layer(pR1, pR2, s4), layer(pR1, pR2, s3))
-    return (
-        layer(pR3, 0.0, s2) + layer(pR1, pR2 + pR3, s3),
-        layer(pR1, pR2, s1, cap=layer(pR1, pR2 + pR3, s3)),
-        layer(pR2, pR3, s4),
-        layer(pR2, pR3, s3),
-    )
+    rates = []
+    for shares in _PROGRAMS[scheme_id]:
+        rate = None
+        for decodes in shares:
+            least = None
+            for layer, user, first, rest in decodes:
+                interference = 0.0 if first is None else p[first]
+                for k in rest:
+                    interference = interference + p[k]
+                least = gaussian_layer(p[layer], interference, sigma_bar2[user], cap=least)
+            rate = least if rate is None else rate + least
+        rates.append(rate)
+    return tuple(rates)
 
 
 @dataclass(frozen=True)
@@ -173,8 +149,7 @@ class DownlinkPowerAlloc:
     """Relay power split across (up to) four broadcast layers.
 
     ``scheme_id`` names the rate map the split is meant for; layers a scheme
-    does not use must be exactly zero (`SCHEME_LAYERS`: schemes "4.1"/"4.3"
-    use layers 1-2, scheme "4.4" layers 1-3).
+    does not use (`SCHEME_LAYERS`) must be exactly zero.
     """
 
     pR1: float
@@ -537,7 +512,8 @@ class MessagePlan:
     ``scripts[k]`` is user k+1's ordered decode script.  Construction checks
     that the codewords carry every source message exactly once (split halves
     jointly covering their parent) and that every user's script reaches the
-    messages it needs to reconstruct its partner's data.
+    messages it needs to reconstruct its partner's data.  The scheme's rate
+    map (`scheme_map`) is compiled from these scripts.
     """
 
     case: CaseLabel
@@ -547,7 +523,7 @@ class MessagePlan:
     rate_relations: Tuple[str, ...]
 
     def __post_init__(self) -> None:
-        _validate_plan(self)
+        _walk_plan(self)
 
 
 def _parent_of(message: str) -> str:
@@ -558,7 +534,10 @@ def _covers(available: set, parent: str) -> bool:
     return parent in available or {f"{parent}.0", f"{parent}.1"} <= available
 
 
-def _validate_plan(plan: MessagePlan) -> None:
+def _walk_plan(plan: MessagePlan) -> List[Tuple[int, Tuple[int, ...], int]]:
+    """Check ``plan`` and return its decodes, script by script, as (codeword,
+    codewords still in the way, user), all as indices.  SIC-removing or
+    skipping a codeword takes it out of that user's way."""
     names = [cw.name for cw in plan.codewords]
     if len(set(names)) != len(names):
         raise ValidationError(f"duplicate codeword names in plan: {names}")
@@ -585,10 +564,12 @@ def _validate_plan(plan: MessagePlan) -> None:
 
     if len(plan.scripts) != 4:
         raise ValidationError("plan must carry exactly four user scripts")
+    decodes = []
     for user_idx, script in enumerate(plan.scripts):
         decoded: set = set()
         opened: set = set()
         removed: set = set()
+        skipped: set = set()
         for step in script:
             if step.action not in _ACTIONS:
                 raise ValidationError(f"unknown step action {step.action!r}")
@@ -608,15 +589,20 @@ def _validate_plan(plan: MessagePlan) -> None:
                         f"user {user_idx + 1} cannot pre-cancel {step.codeword}: "
                         f"it carries messages the user does not own"
                     )
+                skipped.add(step.codeword)
             else:
                 opened.add(step.codeword)
                 decoded |= set(by_name[step.codeword].messages)
+                gone = removed | skipped | {step.codeword}
+                way = tuple(k for k, name in enumerate(names) if name not in gone)
+                decodes.append((names.index(step.codeword), way, user_idx))
         for parent in _REQUIRED[user_idx]:
             if not _covers(decoded, parent):
                 raise ValidationError(
                     f"user {user_idx + 1}'s script never reaches {parent}; "
                     f"decoded only {sorted(decoded)}"
                 )
+    return decodes
 
 
 def _steps(*pairs: Tuple[str, str]) -> Tuple[DecodeStep, ...]:
@@ -696,6 +682,47 @@ def message_plan(case: CaseLabel, scheme_id: str) -> MessagePlan:
             f"expected one of {CASE_SCHEMES[case]}"
         )
     return MessagePlan(case, scheme_id, *_PLANS[scheme_id])
+
+
+#: broadcast layers each scheme uses, its plan's codeword count; layers above
+#: the count carry no power
+SCHEME_LAYERS: Dict[str, int] = {scheme: len(plan[0]) for scheme, plan in _PLANS.items()}
+SCHEME_IDS = tuple(SCHEME_LAYERS)
+
+
+def _compile(plan: MessagePlan) -> tuple:
+    """``plan``'s rate map as a decode program.  Per user it holds one entry
+    per layer its rate adds up, and each entry the decodes whose least rate
+    is that layer's: for a leader, the other users' decodes of each layer
+    carrying its lattice message or private remainder; for a trailing user,
+    everyone's decodes of its pair's lattice layer.  A decode is dropped when
+    another decode of the layer has a superset of its layers in the way and a
+    user at least as noisy in the case's order (`bounds._NOISE_ORDERS`), as
+    its rate can never be the least there.  The rest run from the most layers
+    in the way to the fewest, each capped by the least so far (a float `min`
+    keeps a NaN only as its first argument, so the order is part of the map).
+    A decode is (layer, user, first layer in the way or None, the others)."""
+    (chain,) = _NOISE_ORDERS[plan.case.value]
+    rank = [chain.index(user + 1) for user in range(4)]  # 0 is the noisiest
+    decodes = _walk_plan(plan)
+    program = []
+    for user, owned in enumerate(_OWNED):
+        own = (_REQUIRED[user][0], *owned)  # the pair's lattice message, any own remainder
+        shares = []
+        for layer, cw in enumerate(plan.codewords):
+            if any(_parent_of(m) in own for m in cw.messages):
+                ways = {(w, u) for c, w, u in decodes if c == layer and not (owned and u == user)}
+                kept = [(w, u) for w, u in ways if not any(
+                    set(x) >= set(w) and rank[v] <= rank[u] for x, v in ways - {(w, u)})]
+                kept.sort(key=lambda d: (-len(d[0]), rank[d[1]]))
+                shares.append(tuple((layer, u, w[0] if w else None, w[1:]) for w, u in kept))
+        program.append(tuple(shares))
+    return tuple(program)
+
+
+#: each scheme's rate map, compiled once from its plan
+_PROGRAMS = {scheme: _compile(message_plan(case, scheme))
+             for case, schemes in CASE_SCHEMES.items() for scheme in schemes}
 
 
 # ---------------------------------------------------------------------------

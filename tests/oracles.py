@@ -33,6 +33,7 @@ from relaygap.model import (
     InternalConsistencyError,
     RateTuple,
     capacity_terms,
+    gaussian_layer,
     received_powers,
 )
 from relaygap.polytope import _SINGULAR_REL_TOL, VertexSet
@@ -351,6 +352,41 @@ def designated_slacks(params) -> Dict[str, float]:
             achieved = plan_rates(message_plan(case, dn_alloc.scheme_id), powers, terms.sigma_bar2)
             out[vertex.label] = float(max(mpf(t) - a for t, a in zip(vertex.rates, achieved)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# hand-written broadcast rate maps
+#
+# `downlink.scheme_map` reads each scheme's rates off its message plan; these
+# are the per-scheme formulas it replaced, each least decode already picked
+# in the scheme's case order.  They run on the package's `gaussian_layer`, so
+# the two must agree bit for bit, on every noise, not only within a tolerance.
+# ---------------------------------------------------------------------------
+
+
+def reference_scheme_map(scheme_id, p, sigma_bar2):
+    """`downlink.scheme_map` written out by hand, elementwise over floats or
+    numpy arrays."""
+    s1, s2, s3, s4 = sigma_bar2
+    pR1, pR2, pR3, pR4 = p
+    layer = gaussian_layer
+    if scheme_id == "4.1":
+        return (layer(pR2, 0.0, s2), layer(pR2, 0.0, s1), layer(pR1, pR2, s4), layer(pR1, pR2, s3))
+    if scheme_id == "4.2":
+        return (
+            layer(pR4, 0.0, s2) + layer(pR2, pR3 + pR4, s4),
+            layer(pR2, pR3 + pR4, s1),
+            layer(pR1, pR2 + pR3 + pR4, s1) + layer(pR3, pR4, s4),
+            layer(pR1, pR2 + pR4, s3, cap=layer(pR1, pR2 + pR3 + pR4, s1)),
+        )
+    if scheme_id == "4.3":
+        return (layer(pR2, 0.0, s2), layer(pR2, pR1, s1), layer(pR1, pR2, s4), layer(pR1, pR2, s3))
+    return (
+        layer(pR3, 0.0, s2) + layer(pR1, pR2 + pR3, s3),
+        layer(pR1, pR2, s1, cap=layer(pR1, pR2 + pR3, s3)),
+        layer(pR2, pR3, s4),
+        layer(pR2, pR3, s3),
+    )
 
 
 # ---------------------------------------------------------------------------

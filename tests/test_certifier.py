@@ -232,6 +232,10 @@ def test_random_channel_rejects_bad_ranges():
         random_channel(1, gain_range=(1, 10**400))
     with pytest.raises(ValidationError):
         random_channel(-1)
+    with pytest.raises(ValidationError, match="integer or a numpy Generator"):
+        random_channel(1.5)
+    with pytest.raises(ValidationError, match="integer or a numpy Generator"):
+        random_channel("x")
 
 
 def test_log_uniform_median_sits_at_the_geometric_mean():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,12 +6,16 @@ import pytest
 from mpmath import mp
 
 import oracles
+from relaygap import downlink
 from relaygap.bounds import _NOISE_ORDERS, downlink_polytope
 from relaygap.certifier import random_channel
 from relaygap.downlink import (
     CASE_SCHEMES,
+    DECODE_PLAIN,
+    DECODE_SELF,
     SCHEME_IDS,
     SCHEME_LAYERS,
+    SIC_REMOVE,
     SUBCASE_TAGS,
     CaseLabel,
     DecodeStep,
@@ -193,6 +198,58 @@ def test_scheme_maps_match_on_floats_and_arrays(scheme_id, bitwise):
     alloc = DownlinkPowerAlloc(*(float(p[3]) if k < used else 0.0 for k, p in enumerate(powers)),
                                scheme_id)
     assert type(scheme_rates(alloc, CASE2_NOISES)) is RateTuple
+
+
+def _draw_scheme_inputs(rng, chain, n):
+    """``n`` (powers, noises) draws over 1e+-4: every other one with its
+    noises in the case order ``chain``, the rest drawn freely, and some with
+    an empty layer, a power tie, a noise tie or a +inf noise."""
+    draws = []
+    for k in range(n):
+        powers = [float(x) for x in 10.0 ** rng.uniform(-4, 4, 4)]
+        noises = [float(x) for x in 10.0 ** rng.uniform(-4, 4, 4)]
+        if k % 2:
+            for user, value in zip(chain, sorted(noises, reverse=True)):
+                noises[user - 1] = value
+        if rng.random() < 0.25:
+            powers[rng.integers(4)] = 0.0
+        if rng.random() < 0.15:
+            powers[rng.integers(4)] = powers[rng.integers(4)]
+        if rng.random() < 0.15:
+            noises[rng.integers(4)] = noises[rng.integers(4)]
+        if rng.random() < 0.1:
+            noises[rng.integers(4)] = math.inf
+        draws.append((powers, noises))
+    return draws
+
+
+@pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+def test_scheme_map_is_bit_identical_to_the_hand_written_formulas(scheme_id):
+    # the map read off the plan against the formulas it replaced, by
+    # float.hex, on floats and on arrays that broadcast; a NaN power in one
+    # decode of a capped pair pins the order in which the pair is capped
+    case = next(case for case, schemes in CASE_SCHEMES.items() if scheme_id in schemes)
+    (chain,) = _NOISE_ORDERS[case.value]
+    rng = np.random.default_rng(19)
+    draws = _draw_scheme_inputs(rng, chain, 600)
+    draws += [([2.0, 1.0, math.nan, 0.5], list(CASE2_NOISES)),
+              ([2.0, 1.0, math.nan, 0.5], list(CASE3_NOISES))]
+
+    def hexes(rates):
+        return [[float.hex(x) for x in np.ravel(r).tolist()] for r in rates]
+
+    for powers, noises in draws:
+        assert all(type(r) is float for r in scheme_map(scheme_id, powers, noises))
+        want = hexes(oracles.reference_scheme_map(scheme_id, powers, noises))
+        assert hexes(scheme_map(scheme_id, powers, noises)) == want, (powers, noises)
+    columns = np.array([powers for powers, _ in draws]).T
+    grid = np.meshgrid(*[np.array([0.0, 0.3, 1.0, 7.0])] * 4, indexing="ij", sparse=True)
+    for _, noises in draws[:40]:
+        for powers in (list(columns), grid):
+            want = oracles.reference_scheme_map(scheme_id, powers, noises)
+            got = scheme_map(scheme_id, powers, noises)
+            assert [np.shape(r) for r in got] == [np.shape(r) for r in want]
+            assert hexes(got) == hexes(want), noises
 
 
 # ---------------------------------------------------------------------------
@@ -619,9 +676,9 @@ def test_plan_scripts_reach_the_required_messages():
     "case, scheme", [(case, scheme) for case, schemes in CASE_SCHEMES.items() for scheme in schemes]
 )
 def test_message_plan_derives_the_scheme_map_in_its_case_order(case, scheme):
-    # the rates read off the plan (`oracles.plan_rates`) equal the hand-written
-    # rate map wherever the case's noise order holds, and only there: outside
-    # it the map's collapsed minima pick the wrong decoder
+    # the rates read off the plan (`oracles.plan_rates`) equal the rate map
+    # wherever the case's noise order holds, and only there: outside it the
+    # map has dropped decodes that only that order rules out of the minimum
     rng = np.random.default_rng(2017)
     plan = message_plan(case, scheme)
     (chain,) = _NOISE_ORDERS[case.value]  # users, largest effective noise first
@@ -647,6 +704,26 @@ def test_message_plan_derives_the_scheme_map_in_its_case_order(case, scheme):
             want = scheme_map(scheme, powers, drawn)
             differ += max(abs(g - w) for g, w in zip(got, want)) > 1e-12
     assert differ > 0, f"{case.value} {scheme}: the map holds outside its case's order"
+
+
+def test_the_plan_drives_the_rate_map(monkeypatch):
+    # in a variant of plan "4.2", user 3 decodes xR3 instead of skipping it:
+    # it reads xR1 with xR3 still in the way, then peels xR1 to reach xR3.
+    # R4's least decode is then user 3's under every other layer
+    plan = message_plan(CaseLabel.II, "4.2")
+    peel = (DecodeStep(DECODE_SELF, "xR1"), DecodeStep(SIC_REMOVE, "xR1"),
+            DecodeStep(DECODE_PLAIN, "xR3"))
+    variant = dataclasses.replace(plan, scripts=(*plan.scripts[:2], peel, plan.scripts[3]))
+    # (layer, user, first layer in the way, the others), 0-based
+    assert downlink._compile(plan)[3] == (((0, 0, 1, (2, 3)), (0, 2, 1, (3,))),)
+    assert downlink._compile(variant)[3] == (((0, 2, 1, (2, 3)),),)
+    assert downlink._compile(variant)[:3] == downlink._compile(plan)[:3]
+
+    powers, noises = (2.0, 1.0, 0.5, 0.25), CASE2_NOISES
+    r4 = scheme_map("4.2", powers, noises)[3]
+    assert r4 == min(HL(1 + 2.0 / (1.0 + 0.25 + 4.0)), HL(1 + 2.0 / (1.75 + 3.0)))
+    monkeypatch.setitem(downlink._PROGRAMS, "4.2", downlink._compile(variant))
+    assert scheme_map("4.2", powers, noises)[3] == HL(1 + 2.0 / (1.75 + 4.0)) != r4
 
 
 def test_plan_validation_rejects_premature_sic():

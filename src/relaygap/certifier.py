@@ -22,7 +22,8 @@ Three layers of machinery live here:
   orders (uplink) or every admissible broadcast scheme (downlink), evaluated
   on product power grids by the same elementwise rate kernels the
   certificates use (`uplink.sic_rates`, `downlink.scheme_map`), each rate
-  only on the grid axes its powers depend on, block by block.  The free
+  only on the grid axes its powers depend on, block by block, with the SIC
+  layers the 24 orders share formed once per block.  The free
   optimum can sit well below the closed form — the designated constructions
   trade per-vertex optimality for uniform half-bit guarantees — but seeding
   the recipe point guarantees it never sits above.  The independent
@@ -62,6 +63,7 @@ from .model import (
     SystemParams,
     ValidationError,
     _finite,
+    _integer,
     capacity_terms,
     received_powers,
     slack_of,
@@ -208,18 +210,6 @@ def _check_range(name: str, rng: Sequence[float]) -> Tuple[float, float]:
     return lo, hi
 
 
-def _check_seed(seed):
-    """Return the seed: a numpy Generator, or an integer >= 0 (numpy seeds
-    from non-negative integers only)."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValidationError(f"seed must be an integer or a numpy Generator, got {seed!r}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
 @dataclass(frozen=True)
 class MonteCarloConfig:
     """Shape of a seeded random-channel ensemble (log-uniform draws)."""
@@ -231,11 +221,8 @@ class MonteCarloConfig:
     noise_range: Tuple[float, float] = (0.1, 10.0)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.trials, int) or isinstance(self.trials, bool) or self.trials < 1:
-            raise ValidationError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
-        _check_seed(self.seed)
+        object.__setattr__(self, "trials", _integer(self.trials, "trials", 1))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
         for name in ("gain_range", "power_range", "noise_range"):
             object.__setattr__(self, name, _check_range(name, getattr(self, name)))
 
@@ -255,7 +242,9 @@ def random_channel(
     gain_range = _check_range("gain_range", gain_range)
     power_range = _check_range("power_range", power_range)
     noise_range = _check_range("noise_range", noise_range)
-    rng = np.random.default_rng(_check_seed(seed))  # a Generator comes back unaltered
+    if not isinstance(seed, np.random.Generator):  # numpy seeds from integers >= 0 only
+        seed = _integer(seed, "seed", 0, " or a numpy Generator")
+    rng = np.random.default_rng(seed)  # a Generator comes back unaltered
 
     def draw(bounds: Tuple[float, float], n: int) -> Tuple[float, ...]:
         lo, hi = bounds
@@ -421,49 +410,66 @@ BLOCK_POINTS = 1 << 15
 
 
 def _keep_best(
-    best: Dict[str, Tuple[float, RateTuple]], vertices: Sequence, what: str, rates, powers: Sequence
+    best: Dict[str, Tuple[float, RateTuple]], vertices: Sequence, sources: Sequence[str], grids: Sequence
 ) -> None:
-    """Fold the product grid ``rates(*powers)`` into ``best``: per vertex
-    label, the lowest max-component slack seen so far and its rate tuple.
+    """Fold several sources' product grids into ``best``: per vertex label,
+    the lowest max-component slack seen so far and its rate tuple.
 
-    ``powers`` are arrays of the grid's rank that broadcast to its shape;
-    ``rates`` maps them elementwise to four per-user rate rows, formed one
-    block of the first grid axis at a time.  A vertex searches a block only
-    if its bound is below its incumbent: the least ``max_c fl(V_c - M_c)``
-    over the cells of the last two axes (``M_c`` row c's maximum in a cell),
-    or, if larger, the same over the cells of the other axes.
-    Float subtraction is monotone, so the bound is at most every slack in
-    the block, and a later point wins only when strictly lower.  Each slack
-    is the same subtraction and exact max as on the flattened grid, so the
-    first minimiser in C order wins.  A NaN rate raises naming ``what``.
+    ``grids`` are ``(rates, powers)`` pairs: ``powers`` are arrays of the
+    grid's rank that broadcast to its shape, and ``rates`` maps them
+    elementwise to one tuple of four per-user rate rows per source, in the
+    order of the names ``sources``.  Rates are formed one block of the first
+    grid axis at a time, every source of a block in turn.  Ties go to the
+    least (source, grid, flat index), and an incumbent already in ``best``
+    wins every tie: the result of folding each source's grids in turn, a
+    later point winning only when strictly lower.  A source searches a block
+    for a vertex only if its bound could win on that key: the least
+    ``max_c fl(V_c - M_c)`` over the cells of the last two axes (``M_c`` row
+    c's maximum in a cell), or, if larger, the same over the cells of the
+    other axes.  Float subtraction is monotone, so the bound is at most every
+    slack in the block, and each slack is the same subtraction and exact max
+    as on the flattened grid.  A NaN rate raises naming its source.
     """
     V = np.array([vertex.rates for vertex in vertices], dtype=float)
     value = np.array([best.get(vertex.label, (math.inf,))[0] for vertex in vertices])
+    shapes = [np.broadcast_shapes(*(np.shape(p) for p in powers)) for _, powers in grids]
+    size = max(math.prod(shape) for shape in shapes)
+    # the tie key as one number, (source * len(grids) + grid) * size + flat index
+    rank = np.array([-1 if vertex.label in best else np.iinfo(np.int64).max for vertex in vertices])
     won: Dict[int, Tuple[float, ...]] = {}
-    shape = np.broadcast_shapes(*(np.shape(p) for p in powers))
-    step = max(1, BLOCK_POINTS // math.prod(shape[1:]))
-    targets = [V[:, c].reshape(-1, *[1] * len(shape)) for c in range(4)]
-    axes = tuple(range(len(shape)))
-    for lo in range(0, shape[0], step):
-        block = (min(step, shape[0] - lo), *shape[1:])
-        rows = rates(*(p[lo : lo + step] if p.shape[0] > 1 else p for p in powers))
-        bound = np.full(len(V), -math.inf)
-        for half in (axes[:-2], axes[-2:]):
-            if not (bound < value).any():
-                break
-            gaps = [t - row.max(half, keepdims=True) for t, row in zip(targets, rows)]
-            bound = np.maximum(bound, functools.reduce(np.maximum, gaps).reshape(len(V), -1).min(1))
-        if np.isnan(bound).any():
-            raise InternalConsistencyError(f"NaN rate on the oracle grid of {what}")
-        for k in np.flatnonzero(bound < value).tolist():
-            slack = functools.reduce(np.maximum, [t[k] - row for t, row in zip(targets, rows)])
-            slack = np.broadcast_to(slack, block)
-            at = int(slack.argmin())
-            if slack.flat[at] < value[k]:
-                value[k] = slack.flat[at]
-                won[k] = tuple(float(np.broadcast_to(row, block).flat[at]) for row in rows)
+    for g, ((rates, powers), shape) in enumerate(zip(grids, shapes)):
+        targets = [V[:, c].reshape(-1, *[1] * len(shape)) for c in range(4)]
+        axes = tuple(range(len(shape)))
+        cell = math.prod(shape[1:])
+        step = max(1, BLOCK_POINTS // cell)
+        for lo in range(0, shape[0], step):
+            block = (min(step, shape[0] - lo), *shape[1:])
+            block_rates = rates(*(p[lo : lo + step] if p.shape[0] > 1 else p for p in powers))
+            for s, rows in enumerate(block_rates):
+                first = (s * len(grids) + g) * size + lo * cell
+                ties = first < rank  # the vertices this block's points win ties against
+                bound = np.full(len(V), -math.inf)
+                for half in (axes[:-2], axes[-2:]):
+                    if not ((bound < value) | (ties & (bound == value))).any():
+                        break
+                    gaps = [t - row.max(half, keepdims=True) for t, row in zip(targets, rows)]
+                    bound = np.maximum(bound, functools.reduce(np.maximum, gaps).reshape(len(V), -1).min(1))
+                if np.isnan(bound).any():
+                    raise InternalConsistencyError(f"NaN rate on the oracle grid of {sources[s]}")
+                for k in np.flatnonzero((bound < value) | (ties & (bound == value))).tolist():
+                    slack = functools.reduce(np.maximum, [t[k] - row for t, row in zip(targets, rows)])
+                    slack = np.broadcast_to(slack, block)
+                    at = int(slack.argmin())
+                    if slack.flat[at] < value[k] or (slack.flat[at] == value[k] and first + at < rank[k]):
+                        value[k], rank[k] = slack.flat[at], first + at
+                        won[k] = tuple(float(np.broadcast_to(row, block).flat[at]) for row in rows)
     for k, achieved in won.items():
         best[vertices[k].label] = (float(value[k]), RateTuple(achieved))
+
+
+#: the relay's 24 decoding orders, in the order the uplink oracle breaks ties
+_ALL_ORDERS = tuple(itertools.permutations(Step))
+_ORDER_NAMES = tuple("decoding order " + ",".join(step.name for step in order) for order in _ALL_ORDERS)
 
 
 def _uplink_oracle(params: SystemParams, terms: CapacityTerms, n: int) -> Dict[str, Tuple[float, RateTuple]]:
@@ -473,8 +479,11 @@ def _uplink_oracle(params: SystemParams, terms: CapacityTerms, n: int) -> Dict[s
     of each pair is capped by the trailing user's received budget, and the
     leader splits its own budget between the lattice and private codewords.
     Each power lives on the grid axes it depends on (p10 on u, p11 on u, v,
-    p30 on w, p31 on w, x).  The closed-form allocation is folded in as a
-    one-point grid after each order's grid, so the oracle never loses to it.
+    p30 on w, p31 on w, x).  The 24 orders are one fold's sources, whose
+    rates one `sic_rates` call forms per block, sharing the layers the orders
+    have in common.  The closed-form allocation is a one-point grid after
+    the power grid, so the oracle never loses to it, and ties go to the
+    first order, then the grid before the seed, then the first point.
     """
     q = received_powers(params)
     t = np.linspace(0.0, 1.0, n)
@@ -486,16 +495,12 @@ def _uplink_oracle(params: SystemParams, terms: CapacityTerms, n: int) -> Dict[s
     seed = uplink_power_alloc(params)
     point = [np.array([s]) for s in (seed.p10, seed.p11, seed.p30, seed.p31)]
 
-    vertices = uplink_vertices(terms)
-    best: Dict[str, Tuple[float, RateTuple]] = {}
-    for order in itertools.permutations((Step.G1, Step.G3, Step.LA, Step.LB)):
-        def rates(*powers):
-            ((r10, r11, r30, r31),) = sic_rates(*powers, (order,), params.sigmaR2)
-            return r10 + r11, r10, r30 + r31, r30
+    def rates(*powers):
+        for r10, r11, r30, r31 in sic_rates(*powers, _ALL_ORDERS, params.sigmaR2):
+            yield r10 + r11, r10, r30 + r31, r30
 
-        what = "decoding order " + ",".join(step.name for step in order)
-        for powers in ((p10, p11, p30, p31), point):
-            _keep_best(best, vertices, what, rates, powers)
+    best: Dict[str, Tuple[float, RateTuple]] = {}
+    _keep_best(best, uplink_vertices(terms), _ORDER_NAMES, [(rates, (p10, p11, p30, p31)), (rates, point)])
     return best
 
 
@@ -505,7 +510,7 @@ def _downlink_oracle(
     """Best grid slack per downlink vertex over every scheme the case admits:
     layer k of the scheme takes grid fraction k of the budget the layers
     before it left (so it lives on grid axes 0..k), and each vertex's recipe
-    is folded in as a one-point grid after its scheme's."""
+    is a one-point grid after its scheme's, in the same fold call."""
     case = classify_case(terms.sigma_bar2)
     vertices = downlink_vertices(case, terms)
     seeds = [_recipe(vertex.label, params.PR, terms.sigma_bar2)[0] for vertex in vertices]
@@ -513,7 +518,7 @@ def _downlink_oracle(
     best: Dict[str, Tuple[float, RateTuple]] = {}
     for scheme in CASE_SCHEMES[case]:
         def rates(*powers):
-            return scheme_map(scheme, powers, terms.sigma_bar2)
+            return (scheme_map(scheme, powers, terms.sigma_bar2),)
 
         def grid_rates(*fractions):
             pools, rem = [], params.PR
@@ -522,12 +527,11 @@ def _downlink_oracle(
                 rem = rem - pools[-1]
             return rates(*pools)
 
-        fractions = np.meshgrid(*[t] * SCHEME_LAYERS[scheme], indexing="ij", sparse=True)
-        _keep_best(best, vertices, f"scheme {scheme}", grid_rates, fractions)
+        grids = [(grid_rates, np.meshgrid(*[t] * SCHEME_LAYERS[scheme], indexing="ij", sparse=True))]
         for alloc in seeds:
             if alloc.scheme_id == scheme:
-                point = [np.array([p]) for p in (alloc.pR1, alloc.pR2, alloc.pR3, alloc.pR4)]
-                _keep_best(best, vertices, f"scheme {scheme}", rates, point)
+                grids.append((rates, [np.array([p]) for p in (alloc.pR1, alloc.pR2, alloc.pR3, alloc.pR4)]))
+        _keep_best(best, vertices, [f"scheme {scheme}"], grids)
     return best
 
 
@@ -541,11 +545,13 @@ def brute_force_gap(params: SystemParams, grid_steps: int = 21) -> BruteForceRep
     (`uplink.sic_rates`, `downlink.scheme_map`) as the certificates, and the
     closed-form allocations are seeded into them, so ``free_slack`` cannot
     sit above ``recipe_slack`` by more than float dust.  Rates are formed block
-    by block, and each vertex skips the blocks that cannot beat its best so
-    far (`_keep_best`), so the report is the whole grid's.
+    by block, all 24 orders of a block from one `sic_rates` call that forms
+    each SIC layer the orders share once, and each vertex skips the blocks
+    that cannot beat its best so far (`_keep_best`).  Ties go to the first
+    order or scheme, then the grid before its seeds, then the first point in
+    C order, so the report is that of folding each whole grid in turn.
     """
-    if not isinstance(grid_steps, int) or isinstance(grid_steps, bool) or grid_steps < 2:
-        raise ValidationError(f"grid_steps must be an integer >= 2, got {grid_steps!r}")
+    grid_steps = _integer(grid_steps, "grid_steps", 2)
 
     p = canonicalize(params).params
     terms = capacity_terms(p)

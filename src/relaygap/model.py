@@ -117,6 +117,17 @@ def _noise(x, name: _Name, k=None) -> float:
     return v
 
 
+def _integer(x, name: str, least: int, alternative: str = "") -> int:
+    """The one integer rule: a Python or numpy integer, not a bool, and at
+    least ``least``; returned as a plain int.  ``alternative`` extends the
+    message for a non-integer (e.g. " or a numpy Generator")."""
+    if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
+        raise ValidationError(f"{name} must be an integer{alternative}, got {x!r}")
+    if x < least:
+        raise ValidationError(f"{name} must be >= {least}, got {x}")
+    return int(x)
+
+
 def _as_float4(values, name: _Name, rule=_real) -> Tuple[float, float, float, float]:
     """Four numbers, each through ``rule``; entry k is named ``name[k]``, 1-based."""
     try:

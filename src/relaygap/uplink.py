@@ -18,6 +18,7 @@ interference.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -129,25 +130,61 @@ class UplinkSplitRates:
         return RateTuple((self.r10 + self.r11, self.r10, self.r30 + self.r31, self.r30))
 
 
+@functools.lru_cache(maxsize=64)
+def _sic_plan(orders: Tuple[Tuple[Step, ...], ...]):
+    """Compile decoding orders into the distinct SIC layers they share.
+
+    A layer's interference ``sum(weight[s] for s in pending)`` is
+    ``((0 + a) + b) + c``, and float addition commutes exactly, so its rate
+    depends only on its step, the set of its first two pending steps and the
+    pending steps after them, in order.  Keyed that way the 24 orders need 40
+    layers instead of 96.  Returns the layer count and, per order, the layers
+    it computes first as (id, rate kernel, step, pending steps), each step as
+    its place in `Step` order, the ids of its (LA, G1, LB, G3) rates and the
+    ids whose last use it is.
+    """
+    steps = list(Step)
+    ids: Dict[tuple, int] = {}
+    plan = []
+    for order in orders:
+        first, at = [], {}
+        for k, step in enumerate(order):
+            pending = order[k + 1 :]
+            key = (step, frozenset(pending[:2]), pending[2:])
+            if key not in ids:
+                ids[key] = len(ids)
+                layer = gaussian_layer if step in (Step.G1, Step.G3) else lattice_layer
+                first.append((ids[key], layer, steps.index(step), tuple(map(steps.index, pending))))
+            at[step] = ids[key]
+        plan.append((first, (at[Step.LA], at[Step.G1], at[Step.LB], at[Step.G3]), []))
+    last = {i: done for _, outputs, done in plan for i in outputs}
+    for i, done in last.items():
+        done.append(i)
+    return len(ids), plan
+
+
 def sic_rates(p10, p11, p30, p31, orders: Iterable[Sequence[Step]], sigmaR2: float):
     """The relay's SIC chain, elementwise over floats or numpy arrays of
     received powers that broadcast together: yields (r10, r11, r30, r31) for
-    each decoding order in ``orders`` (lattice weights formed once for all).
+    each decoding order in ``orders``.
 
     Decoded groups are subtracted; groups not yet decoded interfere with the
     current stage, whose rate takes their broadcast shape.  A pending lattice
-    pair interferes with twice its per-codeword power.  Inputs are not
-    validated here.
+    pair interferes with twice its per-codeword power.  Orders share every
+    layer whose step, set of first two pending steps and later pending steps
+    agree (`_sic_plan`), bit for bit, and a layer is dropped after the last
+    order that reads it.  Inputs are not validated here.
     """
-    power = {Step.G1: p11, Step.G3: p31, Step.LA: p10, Step.LB: p30}
-    weight = {Step.G1: p11, Step.G3: p31, Step.LA: 2.0 * p10, Step.LB: 2.0 * p30}
-    for order in orders:
-        rates = {}
-        for k, step in enumerate(order):
-            interference = sum(weight[s] for s in order[k + 1 :])
-            layer = gaussian_layer if step in (Step.G1, Step.G3) else lattice_layer
-            rates[step] = layer(power[step], interference, sigmaR2)
-        yield rates[Step.LA], rates[Step.G1], rates[Step.LB], rates[Step.G3]
+    count, plan = _sic_plan(tuple(map(tuple, orders)))
+    power = (p11, p31, p10, p30)  # in `Step` order
+    weight = (p11, p31, 2.0 * p10, 2.0 * p30)
+    layers = [None] * count
+    for first, (la, g1, lb, g3), done in plan:
+        for i, layer, k, pending in first:
+            layers[i] = layer(power[k], sum([weight[j] for j in pending]), sigmaR2)
+        yield layers[la], layers[g1], layers[lb], layers[g3]
+        for i in done:
+            layers[i] = None
 
 
 def uplink_achievable(

@@ -34,13 +34,13 @@ from relaygap.model import (
     RateTuple,
     capacity_terms,
     gaussian_layer,
+    lattice_layer,
     received_powers,
 )
 from relaygap.polytope import _SINGULAR_REL_TOL, VertexSet
 from relaygap.uplink import (
     Step,
     decoding_order,
-    sic_rates,
     uplink_certificate,
     uplink_power_alloc,
     uplink_vertices,
@@ -390,14 +390,39 @@ def reference_scheme_map(scheme_id, p, sigma_bar2):
 
 
 # ---------------------------------------------------------------------------
+# per-order SIC chain
+#
+# `uplink.sic_rates` computes each distinct layer once across the orders of
+# one call; this is the loop it replaced, every layer of every order formed
+# afresh.  It runs on the package's layer kernels, so the two must agree bit
+# for bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_sic_rates(p10, p11, p30, p31, orders, sigmaR2):
+    """`uplink.sic_rates` one order at a time: yields (r10, r11, r30, r31)."""
+    power = {Step.G1: p11, Step.G3: p31, Step.LA: p10, Step.LB: p30}
+    weight = {Step.G1: p11, Step.G3: p31, Step.LA: 2.0 * p10, Step.LB: 2.0 * p30}
+    for order in orders:
+        rates = {}
+        for k, step in enumerate(order):
+            interference = sum(weight[s] for s in order[k + 1 :])
+            layer = gaussian_layer if step in (Step.G1, Step.G3) else lattice_layer
+            rates[step] = layer(power[step], interference, sigmaR2)
+        yield rates[Step.LA], rates[Step.G1], rates[Step.LB], rates[Step.G3]
+
+
+# ---------------------------------------------------------------------------
 # flattened-grid oracle
 #
 # `certifier.brute_force_gap` evaluates each rate on the product-grid axes it
-# depends on, forms the rates block by block, skips the blocks a bound rules
-# out, and folds the closed-form seeds in as one-point grids; this is the
-# oracle it replaced: every power spread over the whole flattened meshgrid,
-# the seeds appended as extra columns, and one (4, N) temporary and one
-# argmin per vertex.
+# depends on, forms the rates block by block with the SIC layers the decoding
+# orders share computed once, folds every order of a block in turn, skips the
+# blocks a bound rules out, and folds the closed-form seeds in as one-point
+# grids; this is the oracle it replaced: every power spread over the whole
+# flattened meshgrid, the seeds appended as extra columns, each order's SIC
+# chain run on its own (`reference_sic_rates`), and one (4, N) temporary and
+# one argmin per vertex, order after order.
 # ---------------------------------------------------------------------------
 
 
@@ -433,7 +458,7 @@ def _reference_uplink(params, terms, n):
     vertices = uplink_vertices(terms)
     best = {}
     orders = permutations((Step.G1, Step.G3, Step.LA, Step.LB))
-    for r10, r11, r30, r31 in sic_rates(p10, p11, p30, p31, orders, params.sigmaR2):
+    for r10, r11, r30, r31 in reference_sic_rates(p10, p11, p30, p31, orders, params.sigmaR2):
         reference_keep_best(best, vertices, (r10 + r11, r10, r30 + r31, r30))
     return best
 

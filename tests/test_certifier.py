@@ -254,6 +254,13 @@ def test_log_uniform_median_sits_at_the_geometric_mean():
 
 def test_config_validation():
     MonteCarloConfig(trials=1, seed=0)
+    # numpy integers are integers, as `random_channel` takes them; stored as int
+    config = MonteCarloConfig(trials=np.int64(2), seed=np.int64(3))
+    assert (config.trials, config.seed) == (2, 3)
+    assert type(config.trials) is int and type(config.seed) is int
+    assert MonteCarloConfig(trials=1, seed=np.int64(3)).seed == 3
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        MonteCarloConfig(trials=1, seed=np.random.default_rng(3))
     with pytest.raises(ValidationError):
         MonteCarloConfig(trials=0, seed=0)
     with pytest.raises(ValidationError):
@@ -316,6 +323,9 @@ def test_targeted_channels_fire_every_recipe_branch():
 
 def test_oracle_rejects_bad_grids():
     params = unit_gain()
+    report = brute_force_gap(params, grid_steps=np.int64(3))
+    assert report == brute_force_gap(params, grid_steps=3)
+    assert type(report.grid_steps) is int
     with pytest.raises(ValidationError):
         brute_force_gap(params, grid_steps=1)
     with pytest.raises(ValidationError):
@@ -382,22 +392,30 @@ def _whole_grid_fold(best, vertices, rows):
     oracles.reference_keep_best(best, vertices, flat)
 
 
+def _one_source(*rows):
+    return (rows,)
+
+
+def _hexed(best):
+    return {label: (value.hex(), [c.hex() for c in achieved]) for label, (value, achieved) in best.items()}
+
+
 def _fold_both(grids, vertices, block_points):
     """Run `certifier._keep_best` over a sequence of product grids of rate
     rows (each row its own power, so the fold forms the rows block by block)
     with ``block_points`` per block, and the whole-grid reference over the
     same rows broadcast and flattened; return both results as float.hex
-    strings."""
-    blocked, whole = {}, {}
+    strings.  The fold runs one call per grid and once more with every grid
+    in one call, and the two must agree."""
+    blocked, joint, whole = {}, {}, {}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(certifier, "BLOCK_POINTS", block_points)
         for rows in grids:
-            certifier._keep_best(blocked, vertices, "test grid", lambda *r: r, rows)
+            certifier._keep_best(blocked, vertices, ["test grid"], [(_one_source, rows)])
             _whole_grid_fold(whole, vertices, rows)
-    return [
-        {label: (value.hex(), [c.hex() for c in achieved]) for label, (value, achieved) in best.items()}
-        for best in (blocked, whole)
-    ]
+        certifier._keep_best(joint, vertices, ["test grid"], [(_one_source, rows) for rows in grids])
+    assert _hexed(joint) == _hexed(blocked)
+    return _hexed(blocked), _hexed(whole)
 
 
 #: a 4-axis product grid of 4 slabs of 5 * 6 * 7 = 210 points each
@@ -492,13 +510,74 @@ def test_a_seed_call_replaces_the_grid_best_only_when_strictly_lower():
             assert fast["B"] == (value.hex(), winner)
 
 
+def _fold_sources(sources, vertices, block_points, incumbent=()):
+    """Fold ``sources[s][g]``, source s's rate rows on grid g, in one
+    `certifier._keep_best` call with ``block_points`` per block, and by
+    sequential whole-grid reference calls, source by source and each
+    source's grids in turn, both starting from ``incumbent``; return both
+    results as float.hex strings."""
+    fast, slow = dict(incumbent), dict(incumbent)
+
+    def rates(*powers):
+        return [powers[4 * s : 4 * s + 4] for s in range(len(sources))]
+
+    grids = [(rates, [row for rows in per_grid for row in rows]) for per_grid in zip(*sources)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(certifier, "BLOCK_POINTS", block_points)
+        certifier._keep_best(fast, vertices, [f"source {s}" for s in range(len(sources))], grids)
+    for per_source in sources:
+        for rows in per_source:
+            _whole_grid_fold(slow, vertices, rows)
+    return _hexed(fast), _hexed(slow)
+
+
+def test_the_fold_breaks_ties_by_source_then_grid_then_point():
+    rows, vertices, first = _planted_grid()
+    rng = np.random.default_rng(6)
+    quiet = tuple(rng.uniform(0.0, 1.0, shape) for shape in ROW_SHAPES)
+    # "B" reads row 0 alone: `early` ties source 0's row in slab 0, before
+    # source 0's first tie (the end of slab 1), and carries other rates, so in
+    # blocks of one slab source 0 meets a bound equal to `early`'s incumbent
+    # and must search that block to win
+    early = (rows[0].copy(), *quiet[1:])
+    early[0].flat[0] = 2.5
+    grid_b = _tuple_at(rows, first["B"])
+    for block_points in BLOCKINGS:
+        for sources, winner in (([[rows], [rows]], grid_b), ([[rows], [early]], grid_b),
+                                ([[early], [rows]], _tuple_at(early, (0, 0, 0, 0)))):
+            fast, slow = _fold_sources(sources, vertices, block_points)
+            assert fast == slow
+            assert fast["B"] == (0.5.hex(), winner), block_points
+
+    # source 0's seed point ties source 1's grid optimum: the seed comes
+    # first, although the fold meets every source's grid before any seed
+    seed = (np.array([2.5]), np.array([0.25]), np.array([0.5]), np.array([0.75]))
+    worse = (np.array([2.0]), *seed[1:])
+    for block_points in BLOCKINGS:
+        fast, slow = _fold_sources([[quiet, seed], [rows, worse]], vertices, block_points)
+        assert fast == slow
+        assert fast["B"] == (0.5.hex(), [float(r[0]).hex() for r in seed])
+
+    # an incumbent from an earlier call wins every tie
+    held = {"B": (0.5, RateTuple((2.5, 1.0, 1.0, 1.0)))}
+    for block_points in BLOCKINGS:
+        fast, slow = _fold_sources([[rows], [early]], vertices, block_points, held)
+        assert fast == slow
+        assert fast["B"] == (0.5.hex(), [c.hex() for c in (2.5, 1.0, 1.0, 1.0)])
+        assert fast["R"] == (0.5.hex(), _tuple_at(rows, first["R"]))
+
+
 def test_a_nan_rate_raises_naming_its_grid(monkeypatch):
     # the block maxima carry a NaN into the bound, where the fold stops
     rows, vertices, _ = _planted_grid()
     rows = [row.copy() for row in rows]
     rows[2][0, 0, 3, 0] = np.nan
     with np.errstate(all="ignore"), pytest.raises(InternalConsistencyError, match="test grid"):
-        certifier._keep_best({}, vertices, "test grid", lambda *r: r, rows)
+        certifier._keep_best({}, vertices, ["test grid"], [(_one_source, rows)])
+    # with two sources, the NaN names the one it came from
+    with np.errstate(all="ignore"), pytest.raises(InternalConsistencyError, match="source 1"):
+        certifier._keep_best({}, vertices, ["source 0", "source 1"],
+                             [(lambda *r: (r[:4], r[4:]), [*_planted_grid()[0], *rows])])
 
     sic_rates, scheme_map = certifier.sic_rates, certifier.scheme_map
 

@@ -245,6 +245,49 @@ def test_sic_chain_matches_on_floats_and_arrays_for_every_order(bitwise):
     assert type(uplink_achievable(alloc, orders[0], sigmaR2).user_rates()) is RateTuple
 
 
+def test_shared_sic_layers_are_bit_identical_to_the_per_order_chain():
+    # orders share each layer whose step, set of first two pending steps and
+    # later pending steps agree; against the per-order loop, by float.hex, on
+    # floats and sparse 4-axis grids: zero powers, power and weight ties, a
+    # +inf relay noise and a NaN power
+    every = list(itertools.permutations(Step))
+    certificate = [decoding_order(label) for label in UPLINK_LABELS]
+    rng = np.random.default_rng(20)
+    draws = []
+    for _ in range(300):
+        powers = [float(x) for x in 10.0 ** rng.uniform(-4, 4, 4)]
+        if rng.random() < 0.25:
+            powers[rng.integers(4)] = 0.0
+        if rng.random() < 0.25:
+            powers[rng.integers(4)] = powers[rng.integers(4)]
+        if rng.random() < 0.25:  # G1 weighs what lattice pair A weighs
+            powers[1] = 2.0 * powers[0]
+        draws.append((powers, float(10.0 ** rng.uniform(-4, 4))))
+    draws += [([1.0, 2.0, 0.5, 0.25], math.inf), ([0.0] * 4, 1.0), ([1.0, 1.0, 1.0, 1.0], 1.0),
+              ([1.0, math.nan, 0.5, 0.25], 1.0), ([math.nan, 2.0, 0.5, 0.25], math.inf)]
+    axis = np.array([0.0, 0.3, 1.0, 7.0])
+    grids = [np.meshgrid(*[axis] * 4, indexing="ij", sparse=True),
+             np.meshgrid(axis, np.append(axis, np.nan), 2.0 * axis, axis, indexing="ij", sparse=True)]
+
+    def hexes(chains):
+        return [[float.hex(x) for x in np.ravel(r).tolist()] for rates in chains for r in rates]
+
+    for orders in (every, every[::-1], certificate):
+        for powers, sigmaR2 in draws:
+            got = list(sic_rates(*powers, orders, sigmaR2))
+            assert all(type(r) is float for rates in got for r in rates)
+            want = oracles.reference_sic_rates(*powers, orders, sigmaR2)
+            assert hexes(got) == hexes(want), (powers, sigmaR2)
+        with np.errstate(invalid="ignore"):
+            for powers in grids:
+                for sigmaR2 in (1.0, 0.3, math.inf):
+                    got = list(sic_rates(*powers, orders, sigmaR2))
+                    want = list(oracles.reference_sic_rates(*powers, orders, sigmaR2))
+                    assert [np.shape(r) for rates in got for r in rates] == \
+                        [np.shape(r) for rates in want for r in rates]
+                    assert hexes(got) == hexes(want), sigmaR2
+
+
 def test_user_rates_compose_paired_plus_private():
     alloc = UplinkPowerAlloc(p10=1.0, p11=2.0, p30=0.5, p31=0.25)
     split = uplink_achievable(alloc, decoding_order("U2"), sigmaR2=1.0)

@@ -14,12 +14,14 @@ orderings -- decides the whole broadcast construction:
   pair-A leader's private part split out (scheme "4.4").
 
 Each case's deliverable region is a polytope with a short list of maximal
-vertices (labels ``D1.1`` .. ``D3.5``).  Every vertex has a closed-form relay
-power recipe, branching on how the power budget compares with the effective
-noises; some branches pin only the *sum* of the two weakest layers and leave
-the split to an interval rule (`pr4_interval`).  `message_plan` spells out
-which user messages ride which relay codeword and how each user unwraps them,
-and each scheme's rate map (`scheme_map`) is read off that plan.
+vertices (labels ``D1.1`` .. ``D3.5``).  One table, `_VERTICES`, has a row
+per vertex: its target, its closed-form relay power recipe and the recipe's
+branches as (tag, scheme) pairs.  A recipe branches on how the power budget
+compares with the effective noises; some branches pin only the *sum* of the
+two weakest layers and leave the split to an interval rule (`pr4_interval`).
+`message_plan` spells out which user messages ride which relay codeword and
+how each user unwraps them, and each scheme's rate map (`scheme_map`) and
+case (`CASE_SCHEMES`) are read off that plan.
 """
 
 from __future__ import annotations
@@ -49,50 +51,9 @@ from .model import (
 )
 
 
-#: broadcast schemes whose rate map is valid under each case's ordering
-CASE_SCHEMES: Dict[CaseLabel, Tuple[str, ...]] = {
-    CaseLabel.I: ("4.1",),
-    CaseLabel.II: ("4.2", "4.3"),
-    CaseLabel.III: ("4.4",),
-}
-
-#: every recipe branch `alloc_for_vertex` can take, keyed by vertex label;
-#: the keys are the label set, and a label's digit names its case
-SUBCASE_TAGS: Dict[str, Tuple[str, ...]] = {
-    "D1.1": ("always",),
-    "D1.2": ("PR>=sbar4", "PR<sbar4"),
-    "D1.3": ("PR>=sbar3", "PR<sbar3"),
-    "D2.1": ("PR>=sbar1", "PR<sbar1"),
-    "D2.2": ("PR>=sbar4", "PR<sbar4"),
-    "D2.3": ("PR>=sbar1", "sbar4<=PR<sbar1", "PR<sbar4"),
-    "D2.4": (
-        "PR<sbar4",
-        "sbar4<=PR<sbar3,sbar4>=2sbar2",
-        "sbar4<=PR<sbar3,sbar4<2sbar2",
-        "PR>=sbar3,sbar3>=2sbar1",
-        "PR>=sbar3,sbar3<2sbar1",
-    ),
-    "D2.5": (
-        "sbar3>=3sbar1,PR>=sbar3",
-        "sbar3>=3sbar1,thr<PR<sbar3",
-        "sbar3>=3sbar1,PR<=thr",
-        "2sbar1<=sbar3<3sbar1,PR>=thr",
-        "2sbar1<=sbar3<3sbar1,sbar3<PR<thr",
-        "2sbar1<=sbar3<3sbar1,PR<=sbar3",
-        "sbar3<2sbar1,PR>=sbar4",
-        "sbar3<2sbar1,PR<sbar4",
-    ),
-    "D3.1": ("PR>=sbar1", "PR<sbar1"),
-    "D3.2": ("PR>=sbar4", "PR<sbar4"),
-    "D3.3": ("PR>=sbar3", "PR<sbar3"),
-    "D3.4": ("PR>=sbar1", "PR<sbar1"),
-    "D3.5": ("PR>=sbar1", "PR<sbar1"),
-}
-
-
 def case_of_label(label: str) -> CaseLabel:
     """Map a vertex label like "D2.3" to the case family it belongs to."""
-    if label not in SUBCASE_TAGS:
+    if not isinstance(label, str) or label not in SUBCASE_TAGS:
         raise ValidationError(
             f"unknown downlink vertex label {label!r}; expected one of {tuple(SUBCASE_TAGS)}"
         )
@@ -201,32 +162,10 @@ def downlink_vertices(case: CaseLabel, terms: CapacityTerms) -> List[DownlinkVer
     case's noise ordering and raises.
     """
     case = as_case(case)
-    d1, d2, d3, d4 = terms.D
-    if case is CaseLabel.I:
-        table = (
-            ("D1.1", (d2, d1, 0.0, 0.0)),
-            ("D1.2", (d2 - d4, d1 - d4, d4, d3)),
-            ("D1.3", (d2 - d3, d1 - d3, d3, d3)),
-        )
-    elif case is CaseLabel.II:
-        table = (
-            ("D2.1", (d2, d1, 0.0, 0.0)),
-            ("D2.2", (d2 - d4, 0.0, d4, d3)),
-            ("D2.3", (d2 - d4 + d1, d1, d4 - d1, 0.0)),
-            ("D2.4", (d2 - d3, d1 - d3, d3, d3)),
-            ("D2.5", (d2 - d4 + d1 - d3, d1 - d3, d4 - d1 + d3, d3)),
-        )
-    else:
-        table = (
-            ("D3.1", (d2, d1, 0.0, 0.0)),
-            ("D3.2", (d2 - d4, 0.0, d4, d3)),
-            ("D3.3", (d2 - d3, 0.0, d3, d3)),
-            ("D3.4", (d2 - d4 + d1, d1, d4 - d1, d3 - d1)),
-            ("D3.5", (d2 - d3 + d1, d1, d3 - d1, d3 - d1)),
-        )
+    d = terms.D
     return [
-        DownlinkVertex(label, RateTuple([nonneg(x, ("{} component", label)) for x in raw]))
-        for label, raw in table
+        DownlinkVertex(label, RateTuple([nonneg(x, ("{} component", label)) for x in target(*d)]))
+        for label, target in _CASE_TARGETS[case]
     ]
 
 
@@ -244,8 +183,19 @@ def pr4_interval(
     recipes that call this are proven to leave it nonempty, so an empty
     window (beyond `geq` slack) is an internal transcription bug, not a user
     error.  Returns the midpoint — the point of maximal margin against the
-    float-level shrinkage the closed forms can exhibit.
+    float-level shrinkage the closed forms can exhibit.  A non-number or NaN
+    argument is a ValidationError naming it.
     """
+    pmin, pmax, psum = _real(pmin, "pmin"), _real(pmax, "pmax"), _real(psum, "psum")
+    try:
+        caps = tuple(_real(cap, "extra_caps", k) for k, cap in enumerate(extra_caps, 1))
+    except TypeError:  # not iterable
+        raise ValidationError(f"extra_caps must be a sequence, got {extra_caps!r}") from None
+    return _pr4_interval(pmin, pmax, psum, caps)
+
+
+def _pr4_interval(pmin, pmax, psum, extra_caps=()):
+    """`pr4_interval` without its checks, for the recipes' own numbers."""
     lo = max(pmin, 0.0)
     hi = min((pmax, psum, *extra_caps))
     if not geq(hi, lo):
@@ -264,20 +214,6 @@ def _threshold(s1: float, s3: float) -> float:
         return math.inf
     d = 1.0 - 2.0 * s1 / s3
     return math.inf if d <= 0.0 else s1 / d
-
-
-#: threshold recipes, label -> (k, top, low, scheme): at or above sbar_k,
-#: layer ``low`` gets sbar_k and layer ``top`` the surplus; below it, layer
-#: ``low`` takes the whole budget
-_WATERFILL: Dict[str, Tuple[int, int, int, str]] = {
-    "D1.2": (4, 1, 2, "4.1"),
-    "D1.3": (3, 1, 2, "4.1"),
-    "D2.1": (1, 2, 4, "4.2"),
-    "D2.2": (4, 1, 2, "4.3"),
-    "D3.1": (1, 1, 3, "4.4"),
-    "D3.2": (4, 2, 3, "4.4"),
-    "D3.3": (3, 2, 3, "4.4"),
-}
 
 
 def alloc_for_vertex(
@@ -302,21 +238,12 @@ def _recipe(
     label: str, PR: float, sigma_bar2: Sequence[float]
 ) -> Tuple[DownlinkPowerAlloc, str]:
     """`alloc_for_vertex` without its checks: the caller vouches that
-    ``sigma_bar2`` matches the case of ``label``."""
-    s1, s2, s3, s4 = sigma_bar2
-    if label in _WATERFILL:
-        alloc, tag = _waterfill(label, PR, sigma_bar2)
-    elif label == "D1.1":
-        alloc, tag = DownlinkPowerAlloc(0.0, PR, 0.0, 0.0, "4.1"), "always"
-    elif label == "D2.3":
-        alloc, tag = _alloc_d23(PR, s1, s2, s4)
-    elif label == "D2.4":
-        alloc, tag = _alloc_d24(PR, s1, s2, s3, s4)
-    elif label == "D2.5":
-        alloc, tag = _alloc_d25(PR, s1, s2, s3, s4)
-    else:  # D3.4 and D3.5 differ only in which of sbar4 / sbar3 they serve
-        alloc, tag = _alloc_d3_private(PR, s1, s2, s4 if label == "D3.4" else s3)
-
+    ``sigma_bar2`` matches the case of ``label``.  Runs the vertex's recipe
+    and puts its powers on the scheme of the branch that fired."""
+    _, recipe, branches = _VERTICES[label]
+    powers, branch = recipe(PR, *sigma_bar2)
+    tag, scheme = branches[branch]
+    alloc = DownlinkPowerAlloc(*powers, scheme)
     if not geq(PR, alloc.total):
         raise InternalConsistencyError(
             f"recipe for {label} ({tag}) overspends the budget: "
@@ -325,22 +252,26 @@ def _recipe(
     return alloc, tag
 
 
-def _waterfill(label, PR, sigma_bar2):
-    k, top, low, scheme = _WATERFILL[label]
-    s = sigma_bar2[k - 1]
-    p = [0.0, 0.0, 0.0, 0.0]
-    if PR >= s:
-        p[top - 1], p[low - 1] = PR - s, s
-        return DownlinkPowerAlloc(*p, scheme), f"PR>=sbar{k}"
-    p[low - 1] = PR
-    return DownlinkPowerAlloc(*p, scheme), f"PR<sbar{k}"
+def _waterfill(k, top, low):
+    """The threshold recipe on sbar_k: at or above it (branch 0), layer
+    ``low`` gets sbar_k and layer ``top`` the surplus; below it (branch 1),
+    layer ``low`` takes the whole budget."""
+    def recipe(PR, s1, s2, s3, s4):
+        s = (s1, s2, s3, s4)[k - 1]
+        p = [0.0, 0.0, 0.0, 0.0]
+        if PR >= s:
+            p[top - 1], p[low - 1] = PR - s, s
+            return p, 0
+        p[low - 1] = PR
+        return p, 1
+    return recipe
 
 
 def _fill_34(PR, pmin, pmax, psum, extra_caps=()):
     """The step every windowed recipe ends in: layer 4 takes its power from
     the window (`pr4_interval`), layer 3 the rest of the sum ``psum``.
     Returns (p3, p4)."""
-    p4 = pr4_interval(pmin, pmax, psum, extra_caps)
+    p4 = _pr4_interval(pmin, pmax, psum, extra_caps)
     return nonneg(psum - p4, "pR3", PR), p4
 
 
@@ -350,37 +281,35 @@ def _window(X, PR, s2, s4):
     return X * (PR + s2) / (2.0 * (PR + s4)) - s2, X * 2.0 - s4
 
 
-def _alloc_d23(PR, s1, s2, s4):
+def _gain(PR, s1, s4):
+    """D2.3's window factor F; D2.5's K above sbar3 is F * (s3 / (PR + s3))."""
+    return (s4 / (PR + s4)) * ((PR + s1) / s1)
+
+
+def _alloc_d23(PR, s1, s2, s3, s4):
     if PR >= s1:
-        F = (s4 / (PR + s4)) * ((PR + s1) / s1)
-        p3, p4 = _fill_34(PR, *_window(F * (s1 + s4), PR, s2, s4), s1)
-        return DownlinkPowerAlloc(0.0, PR - s1, p3, p4, "4.2"), "PR>=sbar1"
+        p3, p4 = _fill_34(PR, *_window(_gain(PR, s1, s4) * (s1 + s4), PR, s2, s4), s1)
+        return (0.0, PR - s1, p3, p4), 0
     if PR >= s4:
-        return DownlinkPowerAlloc(0.0, 0.0, PR - s4, s4, "4.2"), "sbar4<=PR<sbar1"
-    return DownlinkPowerAlloc(0.0, 0.0, 0.0, PR, "4.2"), "PR<sbar4"
+        return (0.0, 0.0, PR - s4, s4), 1
+    return (0.0, 0.0, 0.0, PR), 2
 
 
 def _alloc_d24(PR, s1, s2, s3, s4):
     if PR < s4:
-        return DownlinkPowerAlloc(0.0, 0.0, 0.0, PR, "4.2"), "PR<sbar4"
+        return (0.0, 0.0, 0.0, PR), 0
     if PR < s3:
         if s4 >= 2.0 * s2:
             p4 = s4 - 2.0 * s2
-            return (
-                DownlinkPowerAlloc(0.0, PR - p4, 0.0, p4, "4.2"),
-                "sbar4<=PR<sbar3,sbar4>=2sbar2",
-            )
-        return DownlinkPowerAlloc(0.0, PR, 0.0, 0.0, "4.2"), "sbar4<=PR<sbar3,sbar4<2sbar2"
+            return (0.0, PR - p4, 0.0, p4), 1
+        return (0.0, PR, 0.0, 0.0), 2
     if s3 >= 2.0 * s1:
         p4 = s1 * (s3 + 2.0 * s1 - s4) / (s3 + s1)
         psum = s1 * (s3 + 2.0 * s1) / s3
         p3 = nonneg(psum - p4, "pR3", PR)
         p2 = nonneg(s3 - psum, "pR2", PR)
-        return DownlinkPowerAlloc(PR - s3, p2, p3, p4, "4.2"), "PR>=sbar3,sbar3>=2sbar1"
-    return (
-        DownlinkPowerAlloc(PR - s3, 0.0, 0.5 * s3, 0.5 * s3, "4.2"),
-        "PR>=sbar3,sbar3<2sbar1",
-    )
+        return (PR - s3, p2, p3, p4), 3
+    return (PR - s3, 0.0, 0.5 * s3, 0.5 * s3), 4
 
 
 def _alloc_d25(PR, s1, s2, s3, s4):
@@ -390,37 +319,34 @@ def _alloc_d25(PR, s1, s2, s3, s4):
 
     if s3 >= 3.0 * s1:
         if PR >= s3:
-            return _d25_top(PR, s1, s2, s3, s4), "sbar3>=3sbar1,PR>=sbar3"
+            return _d25_top(PR, s1, s2, s3, s4), 0
         if PR > thr:
             psum = s1 * (2.0 * PR / s3 + 1.0)
             p2 = nonneg(PR - psum, "pR2", PR)
             q3 = 1.0 if math.isinf(s3) else s3 / (PR + s3)
             G = (2.0 * PR * s1 / s3 + s1 + s4) * (s4 / (PR + s4)) * ((PR + s1) / s1) * q3
             p3, p4 = _fill_34(PR, *_window(G, PR, s2, s4), psum)
-            return DownlinkPowerAlloc(0.0, p2, p3, p4, "4.2"), "sbar3>=3sbar1,thr<PR<sbar3"
-        return _d25_low(PR, s1, s2, s3, s4), "sbar3>=3sbar1,PR<=thr"
+            return (0.0, p2, p3, p4), 1
+        return _d25_low(PR, s1, s2, s3, s4), 2
 
     if s3 >= 2.0 * s1:
         if PR >= thr:
-            return _d25_top(PR, s1, s2, s3, s4), "2sbar1<=sbar3<3sbar1,PR>=thr"
+            return _d25_top(PR, s1, s2, s3, s4), 3
         if PR > s3:
             psum = 2.0 * s3 * (PR + s1) / (PR + s3) - s1
             p1 = nonneg(PR - psum, "pR1", PR)
-            K = (s4 / (PR + s4)) * ((PR + s1) / s1) * (s3 / (PR + s3))
+            K = _gain(PR, s1, s4) * (s3 / (PR + s3))
             pmin = K * (PR + s2) / 2.0 - s2
             pmax = K * ((2.0 + (s4 - s1) / s3) * PR + s1 + s4) - s4
             cap = (PR + 2.0 * s1 - s3) * s3 / (PR + s3)
             _d25_quadratic_check(PR, s1, s2, s3, s4)
             p3, p4 = _fill_34(PR, pmin, pmax, psum, (cap,))
-            return (
-                DownlinkPowerAlloc(p1, 0.0, p3, p4, "4.2"),
-                "2sbar1<=sbar3<3sbar1,sbar3<PR<thr",
-            )
-        return _d25_low(PR, s1, s2, s3, s4), "2sbar1<=sbar3<3sbar1,PR<=sbar3"
+            return (p1, 0.0, p3, p4), 4
+        return _d25_low(PR, s1, s2, s3, s4), 5
 
-    # sbar3 < 2*sbar1: D2.2's threshold recipe on the alternate two-layer scheme
-    alloc, tag = _waterfill("D2.2", PR, (s1, s2, s3, s4))
-    return alloc, "sbar3<2sbar1," + tag
+    # sbar3 < 2*sbar1: D2.2's threshold recipe, on the alternate two-layer scheme
+    powers, branch = _VERTICES["D2.2"][1](PR, s1, s2, s3, s4)
+    return powers, 6 + branch
 
 
 def _d25_top(PR, s1, s2, s3, s4):
@@ -429,11 +355,11 @@ def _d25_top(PR, s1, s2, s3, s4):
     shrink = (s1 / (PR + s1)) * ((PR + s3) / s3)
     psum = shrink * 2.0 * (s3 + s1) - s1
     p2 = nonneg(s3 - psum, "pR2", PR)
-    K = (s4 / (PR + s4)) * ((PR + s1) / s1) * (s3 / (PR + s3))
+    K = _gain(PR, s1, s4) * (s3 / (PR + s3))
     pmin = K * (psum + s4) * (PR + s2) / (2.0 * (s3 + s4)) - s2
     pmax = K * (psum + s4) * 2.0 * (PR + s1) / (s3 + s1) - s4
     p3, p4 = _fill_34(PR, pmin, pmax, psum)
-    return DownlinkPowerAlloc(PR - s3, p2, p3, p4, "4.2")
+    return PR - s3, p2, p3, p4
 
 
 def _d25_low(PR, s1, s2, s3, s4):
@@ -441,7 +367,7 @@ def _d25_low(PR, s1, s2, s3, s4):
     u1 = 1.0 if math.isinf(s1) else (PR + s1) / s1
     q3 = 1.0 if math.isinf(s3) else s3 / (PR + s3)
     p3, p4 = _fill_34(PR, *_window(s4 * u1 * q3, PR, s2, s4), PR)
-    return DownlinkPowerAlloc(0.0, 0.0, p3, p4, "4.2")
+    return 0.0, 0.0, p3, p4
 
 
 def _d25_quadratic_check(PR, s1, s2, s3, s4):
@@ -454,15 +380,66 @@ def _d25_quadratic_check(PR, s1, s2, s3, s4):
     nonneg(f, ("feasibility quadratic at PR={}", PR), max(abs(a) * PR * PR, abs(b) * PR, abs(c)))
 
 
-def _alloc_d3_private(PR, s1, s2, sk):
-    """D3.4 (sk = sbar4) and D3.5 (sk = sbar3): layer 3 carries user 1's
-    private remainder at the level pair B's user k can tolerate."""
-    if PR >= s1:
-        p2 = nonneg(s1 - sk, "pR2", PR)
-        return DownlinkPowerAlloc(PR - s1, p2, sk, 0.0, "4.4"), "PR>=sbar1"
-    p3 = nonneg(PR * (sk - s2) / (PR + sk), "pR3", PR)
-    p2 = nonneg(PR - p3, "pR2", PR)
-    return DownlinkPowerAlloc(0.0, p2, p3, 0.0, "4.4"), "PR<sbar1"
+def _private(k):
+    """D3.4 (k = 4) and D3.5 (k = 3): layer 3 carries user 1's private
+    remainder at the level pair B's user k can tolerate."""
+    def recipe(PR, s1, s2, s3, s4):
+        sk = (s1, s2, s3, s4)[k - 1]
+        if PR >= s1:
+            p2 = nonneg(s1 - sk, "pR2", PR)
+            return (PR - s1, p2, sk, 0.0), 0
+        p3 = nonneg(PR * (sk - s2) / (PR + sk), "pR3", PR)
+        p2 = nonneg(PR - p3, "pR2", PR)
+        return (0.0, p2, p3, 0.0), 1
+    return recipe
+
+
+#: one row per downlink vertex, in label order: (target, recipe, branches).
+#: ``target(d1, d2, d3, d4)`` is its rate tuple from the terms' D, ``recipe(PR,
+#: s1, s2, s3, s4)`` returns the four layer powers and the index of the branch
+#: that fired, and ``branches`` holds each branch's (tag, scheme).
+_VERTICES: Dict[str, tuple] = {
+    "D1.1": (lambda d1, d2, d3, d4: (d2, d1, 0.0, 0.0),
+             lambda PR, s1, s2, s3, s4: ((0.0, PR, 0.0, 0.0), 0), (("always", "4.1"),)),
+    "D1.2": (lambda d1, d2, d3, d4: (d2 - d4, d1 - d4, d4, d3),
+             _waterfill(4, 1, 2), (("PR>=sbar4", "4.1"), ("PR<sbar4", "4.1"))),
+    "D1.3": (lambda d1, d2, d3, d4: (d2 - d3, d1 - d3, d3, d3),
+             _waterfill(3, 1, 2), (("PR>=sbar3", "4.1"), ("PR<sbar3", "4.1"))),
+    "D2.1": (lambda d1, d2, d3, d4: (d2, d1, 0.0, 0.0),
+             _waterfill(1, 2, 4), (("PR>=sbar1", "4.2"), ("PR<sbar1", "4.2"))),
+    "D2.2": (lambda d1, d2, d3, d4: (d2 - d4, 0.0, d4, d3),
+             _waterfill(4, 1, 2), (("PR>=sbar4", "4.3"), ("PR<sbar4", "4.3"))),
+    "D2.3": (lambda d1, d2, d3, d4: (d2 - d4 + d1, d1, d4 - d1, 0.0), _alloc_d23,
+             (("PR>=sbar1", "4.2"), ("sbar4<=PR<sbar1", "4.2"), ("PR<sbar4", "4.2"))),
+    "D2.4": (lambda d1, d2, d3, d4: (d2 - d3, d1 - d3, d3, d3), _alloc_d24, (
+        ("PR<sbar4", "4.2"), ("sbar4<=PR<sbar3,sbar4>=2sbar2", "4.2"),
+        ("sbar4<=PR<sbar3,sbar4<2sbar2", "4.2"), ("PR>=sbar3,sbar3>=2sbar1", "4.2"),
+        ("PR>=sbar3,sbar3<2sbar1", "4.2"))),
+    "D2.5": (lambda d1, d2, d3, d4: (d2 - d4 + d1 - d3, d1 - d3, d4 - d1 + d3, d3), _alloc_d25, (
+        ("sbar3>=3sbar1,PR>=sbar3", "4.2"), ("sbar3>=3sbar1,thr<PR<sbar3", "4.2"),
+        ("sbar3>=3sbar1,PR<=thr", "4.2"), ("2sbar1<=sbar3<3sbar1,PR>=thr", "4.2"),
+        ("2sbar1<=sbar3<3sbar1,sbar3<PR<thr", "4.2"), ("2sbar1<=sbar3<3sbar1,PR<=sbar3", "4.2"),
+        ("sbar3<2sbar1,PR>=sbar4", "4.3"), ("sbar3<2sbar1,PR<sbar4", "4.3"))),
+    "D3.1": (lambda d1, d2, d3, d4: (d2, d1, 0.0, 0.0),
+             _waterfill(1, 1, 3), (("PR>=sbar1", "4.4"), ("PR<sbar1", "4.4"))),
+    "D3.2": (lambda d1, d2, d3, d4: (d2 - d4, 0.0, d4, d3),
+             _waterfill(4, 2, 3), (("PR>=sbar4", "4.4"), ("PR<sbar4", "4.4"))),
+    "D3.3": (lambda d1, d2, d3, d4: (d2 - d3, 0.0, d3, d3),
+             _waterfill(3, 2, 3), (("PR>=sbar3", "4.4"), ("PR<sbar3", "4.4"))),
+    "D3.4": (lambda d1, d2, d3, d4: (d2 - d4 + d1, d1, d4 - d1, d3 - d1),
+             _private(4), (("PR>=sbar1", "4.4"), ("PR<sbar1", "4.4"))),
+    "D3.5": (lambda d1, d2, d3, d4: (d2 - d3 + d1, d1, d3 - d1, d3 - d1),
+             _private(3), (("PR>=sbar1", "4.4"), ("PR<sbar1", "4.4"))),
+}
+
+#: every recipe branch `alloc_for_vertex` can take, read off `_VERTICES` and
+#: keyed by vertex label (the label set); a label's digit names its case
+SUBCASE_TAGS: Dict[str, Tuple[str, ...]] = {label: tuple(tag for tag, _ in row[2])
+                                            for label, row in _VERTICES.items()}
+
+#: each case's vertices in label order, as (label, target)
+_CASE_TARGETS = {case: [(label, row[0]) for label, row in _VERTICES.items()
+                        if case_of_label(label) is case] for case in CaseLabel}
 
 
 # ---------------------------------------------------------------------------
@@ -626,15 +603,17 @@ _PEEL_TO_XR3 = _steps(
 )
 _SKIP_XR3 = _steps((SKIP_KNOWN, "xR3"), (DECODE_SELF, "xR1"))
 
-#: scheme -> (codewords, user scripts, rate relations)
+#: scheme -> (case, codewords, user scripts, rate relations), in scheme order
 _PLANS: Dict[str, tuple] = {
     # two layers; everybody peels the pair-B layer first, pair-A users then
     # open the pair-A layer with their own message as side info, pair-B
     # users open the pair-B layer directly the same way
-    "4.1": (_TWO_LAYERS, (_PEEL_XR1, _PEEL_XR1, _READ_XR1, _READ_XR1), _TWO_LAYER_RATES),
+    "4.1": (CaseLabel.I, _TWO_LAYERS, (_PEEL_XR1, _PEEL_XR1, _READ_XR1, _READ_XR1),
+            _TWO_LAYER_RATES),
     # four layers; the leaders' private remainders are split so the
     # strongest users can take part of them at the bottom of the stack
     "4.2": (
+        CaseLabel.II,
         (
             RelayCodeword("xR1", "RR1", ("mB", "m31.0")),
             RelayCodeword("xR2", "RR2", ("mA", "m11.0")),
@@ -652,12 +631,14 @@ _PLANS: Dict[str, tuple] = {
     # the two-layer layout again, but user 1 reads its layer through the
     # pair-B layer's interference instead of peeling it first
     "4.3": (
+        CaseLabel.II,
         _TWO_LAYERS,
         (_steps((DECODE_SELF, "xR2"),), _PEEL_XR1, _READ_XR1, _READ_XR1),
         _TWO_LAYER_RATES,
     ),
     # three layers; only pair A's leader has a split remainder
     "4.4": (
+        CaseLabel.III,
         (
             RelayCodeword("xR1", "RR1", ("mA", "m11.0")),
             RelayCodeword("xR2", "RR2", ("mB", "m31")),
@@ -666,6 +647,12 @@ _PLANS: Dict[str, tuple] = {
         (_SKIP_XR3, _PEEL_TO_XR3, _PEEL_XR1, _PEEL_XR1),
         ("R1 = RR1 + RR3", "R2 <= RR1", "R3 = RR2", "R4 <= RR2"),
     ),
+}
+
+#: broadcast schemes whose rate map is valid under each case's ordering, in
+#: scheme order (the oracle's tie order), read off the plans
+CASE_SCHEMES: Dict[CaseLabel, Tuple[str, ...]] = {
+    case: tuple(scheme for scheme, plan in _PLANS.items() if plan[0] is case) for case in CaseLabel
 }
 
 
@@ -681,12 +668,12 @@ def message_plan(case: CaseLabel, scheme_id: str) -> MessagePlan:
             f"scheme {scheme_id!r} is not valid for case {case.value}; "
             f"expected one of {CASE_SCHEMES[case]}"
         )
-    return MessagePlan(case, scheme_id, *_PLANS[scheme_id])
+    return MessagePlan(case, scheme_id, *_PLANS[scheme_id][1:])
 
 
 #: broadcast layers each scheme uses, its plan's codeword count; layers above
 #: the count carry no power
-SCHEME_LAYERS: Dict[str, int] = {scheme: len(plan[0]) for scheme, plan in _PLANS.items()}
+SCHEME_LAYERS: Dict[str, int] = {scheme: len(plan[1]) for scheme, plan in _PLANS.items()}
 SCHEME_IDS = tuple(SCHEME_LAYERS)
 
 
@@ -721,8 +708,7 @@ def _compile(plan: MessagePlan) -> tuple:
 
 
 #: each scheme's rate map, compiled once from its plan
-_PROGRAMS = {scheme: _compile(message_plan(case, scheme))
-             for case, schemes in CASE_SCHEMES.items() for scheme in schemes}
+_PROGRAMS = {scheme: _compile(message_plan(plan[0], scheme)) for scheme, plan in _PLANS.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,7 @@ def decoding_order(label: str) -> Tuple[Step, Step, Step, Step]:
     """SIC order used at the relay for one uplink vertex label."""
     try:
         return _ORDERS[label]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable label
         raise ValidationError(f"unknown uplink vertex label {label!r}") from None
 
 

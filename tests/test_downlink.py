@@ -8,7 +8,7 @@ from mpmath import mp
 import oracles
 from relaygap import downlink
 from relaygap.bounds import _NOISE_ORDERS, downlink_polytope
-from relaygap.certifier import random_channel
+from relaygap.certifier import random_channel, targeted_channels
 from relaygap.downlink import (
     CASE_SCHEMES,
     DECODE_PLAIN,
@@ -394,6 +394,10 @@ def test_case_of_label():
     assert case_of_label("D3.1") is CaseLabel.III
     with pytest.raises(ValidationError):
         case_of_label("D4.1")
+    with pytest.raises(ValidationError, match="unknown downlink vertex label"):
+        case_of_label(["D1.1"])
+    with pytest.raises(ValidationError, match="unknown downlink vertex label"):
+        alloc_for_vertex(CaseLabel.I, ["D1.1"], case_params(CASE1_NOISES))
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +426,21 @@ def test_window_empty_raises():
 def test_window_tolerates_tol_level_inversion():
     out = pr4_interval(2.0 + 5e-10, 2.0, 10.0)
     assert out == pytest.approx(2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, name",
+    [
+        ((float("nan"), 1.0, 1.0), {}, "pmin is NaN"),
+        (("a", 1.0, 1.0), {}, "pmin must be a real number"),
+        ((0.0, 1.0, 1.0), {"extra_caps": ("x",)}, r"extra_caps\[1\] must be a real number"),
+        ((0.0, 1.0, 1.0), {"extra_caps": 5.0}, "extra_caps must be a sequence"),
+    ],
+    ids=["nan", "string", "cap", "caps"],
+)
+def test_window_rejects_malformed_numbers_by_name(args, kwargs, name):
+    with pytest.raises(ValidationError, match=name):
+        pr4_interval(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +553,61 @@ def test_recipes_spend_within_budget_for_every_vertex():
             assert min(alloc.pR1, alloc.pR2, alloc.pR3, alloc.pR4) >= 0.0
             assert alloc.scheme_id in CASE_SCHEMES[case]
             assert tag in SUBCASE_TAGS[vertex.label]
+
+
+#: every vertex's recipe branches in order, as (tag, scheme)
+BRANCHES = {
+    "D1.1": (("always", "4.1"),),
+    "D1.2": (("PR>=sbar4", "4.1"), ("PR<sbar4", "4.1")),
+    "D1.3": (("PR>=sbar3", "4.1"), ("PR<sbar3", "4.1")),
+    "D2.1": (("PR>=sbar1", "4.2"), ("PR<sbar1", "4.2")),
+    "D2.2": (("PR>=sbar4", "4.3"), ("PR<sbar4", "4.3")),
+    "D2.3": (("PR>=sbar1", "4.2"), ("sbar4<=PR<sbar1", "4.2"), ("PR<sbar4", "4.2")),
+    "D2.4": (
+        ("PR<sbar4", "4.2"),
+        ("sbar4<=PR<sbar3,sbar4>=2sbar2", "4.2"),
+        ("sbar4<=PR<sbar3,sbar4<2sbar2", "4.2"),
+        ("PR>=sbar3,sbar3>=2sbar1", "4.2"),
+        ("PR>=sbar3,sbar3<2sbar1", "4.2"),
+    ),
+    "D2.5": (
+        ("sbar3>=3sbar1,PR>=sbar3", "4.2"),
+        ("sbar3>=3sbar1,thr<PR<sbar3", "4.2"),
+        ("sbar3>=3sbar1,PR<=thr", "4.2"),
+        ("2sbar1<=sbar3<3sbar1,PR>=thr", "4.2"),
+        ("2sbar1<=sbar3<3sbar1,sbar3<PR<thr", "4.2"),
+        ("2sbar1<=sbar3<3sbar1,PR<=sbar3", "4.2"),
+        ("sbar3<2sbar1,PR>=sbar4", "4.3"),
+        ("sbar3<2sbar1,PR<sbar4", "4.3"),
+    ),
+    "D3.1": (("PR>=sbar1", "4.4"), ("PR<sbar1", "4.4")),
+    "D3.2": (("PR>=sbar4", "4.4"), ("PR<sbar4", "4.4")),
+    "D3.3": (("PR>=sbar3", "4.4"), ("PR<sbar3", "4.4")),
+    "D3.4": (("PR>=sbar1", "4.4"), ("PR<sbar1", "4.4")),
+    "D3.5": (("PR>=sbar1", "4.4"), ("PR<sbar1", "4.4")),
+}
+
+
+def test_derived_tags_and_case_schemes_keep_their_spelling_and_order():
+    tags = [(label, tuple(tag for tag, _ in branches)) for label, branches in BRANCHES.items()]
+    assert list(SUBCASE_TAGS.items()) == tags
+    assert list(CASE_SCHEMES.items()) == [
+        (CaseLabel.I, ("4.1",)),
+        (CaseLabel.II, ("4.2", "4.3")),
+        (CaseLabel.III, ("4.4",)),
+    ]
+
+
+def test_every_targeted_branch_allocates_its_scheme():
+    fired = set()
+    for params in targeted_channels():
+        terms = capacity_terms(params)
+        case = classify_case(terms.sigma_bar2)
+        for vertex in downlink_vertices(case, terms):
+            alloc, tag = alloc_for_vertex(case, vertex.label, params)
+            assert (tag, alloc.scheme_id) in BRANCHES[vertex.label], (vertex.label, tag)
+            fired.add((vertex.label, tag, alloc.scheme_id))
+    assert fired == {(label, *b) for label, branches in BRANCHES.items() for b in branches}
 
 
 # ---------------------------------------------------------------------------

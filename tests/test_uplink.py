@@ -168,6 +168,8 @@ def test_every_decoding_order_is_a_permutation():
 def test_unknown_label_is_rejected():
     with pytest.raises(ValidationError):
         decoding_order("U7")
+    with pytest.raises(ValidationError, match="unknown uplink vertex label"):
+        decoding_order(["U1"])
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ joint vertices keeps each check a small linear feasibility problem.
 
 Three layers of machinery live here:
 
-* `verify_theorem1` — the full per-channel certificate: canonicalize under
-  every in-pair leader choice, run the uplink and downlink syntheses, pool
-  their achieved points (mapped back to original user numbering), and test
-  every outer vertex's pushed-in target against both pools.
+* `verify_theorem1` — the full per-channel certificate: read every in-pair
+  leader choice's canonical frame off the channel's one set of capacity
+  terms (`effective.frame`), run the uplink and downlink syntheses on each,
+  pool their achieved points (mapped back to original user numbering), and
+  test every outer vertex's pushed-in target against both pools.
 * `monte_carlo` / `random_channel` / `targeted_channels` — a seeded,
   reproducible channel ensemble driver with subcase-coverage accounting, plus
   hand-picked channels that force every closed-form recipe branch to fire.
@@ -47,12 +48,12 @@ from .downlink import (
     CASE_SCHEMES,
     SCHEME_LAYERS,
     _recipe,
+    certify_downlink,
     classify_case,
-    downlink_certificate,
     downlink_vertices,
     scheme_map,
 )
-from .effective import canonicalize
+from .effective import frame
 from .model import (
     HALF_BIT,
     TIGHT_TOL,
@@ -69,7 +70,7 @@ from .model import (
     slack_of,
 )
 from .polytope import enumerate_vertices, in_downward_hull, maximal_vertices
-from .uplink import Step, sic_rates, uplink_certificate, uplink_power_alloc, uplink_vertices
+from .uplink import Step, certify_uplink, power_alloc, sic_rates, uplink_vertices
 
 #: the four in-pair leader choices a full certification sweeps
 ORDERINGS: Tuple[Tuple[int, int], ...] = ((1, 3), (1, 4), (2, 3), (2, 4))
@@ -149,27 +150,29 @@ def verify_theorem1(params: SystemParams) -> Theorem1Report:
     hull of the achieved uplink points and, separately, of the achieved
     downlink points.  Vertex achievability within half a bit on each link
     extends to the whole region by convexity, so these finitely many checks
-    certify the full claim.
+    certify the full claim.  The outer bound and every frame share the
+    channel's one `capacity_terms` call; no parameter record is built.
     """
+    terms, q = capacity_terms(params), received_powers(params)
     ordering_reports: List[OrderingReport] = []
     up_points: List[np.ndarray] = []
     dn_points: List[np.ndarray] = []
     for order in ORDERINGS:
-        eff = canonicalize(params, rate_order=order)
-        ucerts = tuple(uplink_certificate(eff.params))
-        dcerts = tuple(downlink_certificate(eff.params))
+        perm, fterms, fq = frame(terms, q, order)
+        ucerts = tuple(certify_uplink(fterms, fq, params.sigmaR2))
+        dcerts = tuple(certify_downlink(fterms, params.PR))
         ordering_reports.append(
-            OrderingReport(rate_order=order, perm=eff.perm, uplink=ucerts, downlink=dcerts)
+            OrderingReport(rate_order=order, perm=perm, uplink=ucerts, downlink=dcerts)
         )
         # column u of the original frame is the effective slot holding user u+1
-        back = np.argsort(eff.perm)
+        back = np.argsort(perm)
         up_points.append(np.array([c.achieved.rates for c in ucerts])[:, back])
         dn_points.append(np.array([c.achieved.rates for c in dcerts])[:, back])
 
     up = np.vstack(up_points)
     dn = np.vstack(dn_points)
 
-    outer = outer_bound(capacity_terms(params))
+    outer = outer_bound(terms)
     combined: List[GapCertificate] = []
     for k, vertex in enumerate(maximal_vertices(enumerate_vertices(outer))):
         target = np.maximum(0.0, np.array(vertex.rates) - HALF_BIT)
@@ -472,7 +475,7 @@ _ALL_ORDERS = tuple(itertools.permutations(Step))
 _ORDER_NAMES = tuple("decoding order " + ",".join(step.name for step in order) for order in _ALL_ORDERS)
 
 
-def _uplink_oracle(params: SystemParams, terms: CapacityTerms, n: int) -> Dict[str, Tuple[float, RateTuple]]:
+def _uplink_oracle(terms: CapacityTerms, q, sigmaR2: float, n: int) -> Dict[str, Tuple[float, RateTuple]]:
     """Best grid slack per uplink vertex over all 24 relay decoding orders.
 
     The grid spans the full feasible power set: the per-codeword lattice power
@@ -485,18 +488,17 @@ def _uplink_oracle(params: SystemParams, terms: CapacityTerms, n: int) -> Dict[s
     the power grid, so the oracle never loses to it, and ties go to the
     first order, then the grid before the seed, then the first point.
     """
-    q = received_powers(params)
     t = np.linspace(0.0, 1.0, n)
     u, v, w, x = np.meshgrid(t, t, t, t, indexing="ij", sparse=True)
     p10 = u * min(q[0], q[1])
     p11 = v * np.maximum(0.0, q[0] - p10)
     p30 = w * min(q[2], q[3])
     p31 = x * np.maximum(0.0, q[2] - p30)
-    seed = uplink_power_alloc(params)
+    seed = power_alloc(q)
     point = [np.array([s]) for s in (seed.p10, seed.p11, seed.p30, seed.p31)]
 
     def rates(*powers):
-        for r10, r11, r30, r31 in sic_rates(*powers, _ALL_ORDERS, params.sigmaR2):
+        for r10, r11, r30, r31 in sic_rates(*powers, _ALL_ORDERS, sigmaR2):
             yield r10 + r11, r10, r30 + r31, r30
 
     best: Dict[str, Tuple[float, RateTuple]] = {}
@@ -504,16 +506,14 @@ def _uplink_oracle(params: SystemParams, terms: CapacityTerms, n: int) -> Dict[s
     return best
 
 
-def _downlink_oracle(
-    params: SystemParams, terms: CapacityTerms, n: int
-) -> Dict[str, Tuple[float, RateTuple]]:
+def _downlink_oracle(terms: CapacityTerms, PR: float, n: int) -> Dict[str, Tuple[float, RateTuple]]:
     """Best grid slack per downlink vertex over every scheme the case admits:
     layer k of the scheme takes grid fraction k of the budget the layers
     before it left (so it lives on grid axes 0..k), and each vertex's recipe
     is a one-point grid after its scheme's, in the same fold call."""
     case = classify_case(terms.sigma_bar2)
     vertices = downlink_vertices(case, terms)
-    seeds = [_recipe(vertex.label, params.PR, terms.sigma_bar2)[0] for vertex in vertices]
+    seeds = [_recipe(vertex.label, PR, terms.sigma_bar2)[0] for vertex in vertices]
     t = np.linspace(0.0, 1.0, n)
     best: Dict[str, Tuple[float, RateTuple]] = {}
     for scheme in CASE_SCHEMES[case]:
@@ -521,7 +521,7 @@ def _downlink_oracle(
             return (scheme_map(scheme, powers, terms.sigma_bar2),)
 
         def grid_rates(*fractions):
-            pools, rem = [], params.PR
+            pools, rem = [], PR
             for f in fractions:
                 pools.append(f * rem)
                 rem = rem - pools[-1]
@@ -538,10 +538,10 @@ def _downlink_oracle(
 def brute_force_gap(params: SystemParams, grid_steps: int = 21) -> BruteForceReport:
     """Grid-search both links and report per-vertex slack comparisons.
 
-    The channel is canonicalized first (leaders 1 and 3); all labels refer to
-    the canonical frame.  Each row carries the closed-form recipe slack and
-    the free grid optimum over all 24 relay decoding orders or all admissible
-    schemes (``free_slack``).  The grids run through the same rate kernels
+    The channel's canonical frame for leaders 1 and 3 is searched
+    (`effective.frame`); all labels refer to it.  Each row carries the
+    closed-form recipe slack and the free grid optimum over all 24 relay
+    decoding orders or all admissible schemes (``free_slack``).  The grids run through the same rate kernels
     (`uplink.sic_rates`, `downlink.scheme_map`) as the certificates, and the
     closed-form allocations are seeded into them, so ``free_slack`` cannot
     sit above ``recipe_slack`` by more than float dust.  Rates are formed block
@@ -553,17 +553,17 @@ def brute_force_gap(params: SystemParams, grid_steps: int = 21) -> BruteForceRep
     """
     grid_steps = _integer(grid_steps, "grid_steps", 2)
 
-    p = canonicalize(params).params
-    terms = capacity_terms(p)
+    _, terms, q = frame(capacity_terms(params), received_powers(params))
+    sigmaR2, PR = params.sigmaR2, params.PR
     recipe = {
         cert.vertex_label: max(cert.slack)
-        for cert in (*uplink_certificate(p), *downlink_certificate(p))
+        for cert in (*certify_uplink(terms, q, sigmaR2), *certify_downlink(terms, PR))
     }
 
     rows: List[OracleRow] = []
     for link, free in (
-        ("uplink", _uplink_oracle(p, terms, grid_steps)),
-        ("downlink", _downlink_oracle(p, terms, grid_steps)),
+        ("uplink", _uplink_oracle(terms, q, sigmaR2, grid_steps)),
+        ("downlink", _downlink_oracle(terms, PR, grid_steps)),
     ):
         for label in sorted(free):
             free_value, achieved = free[label]

@@ -40,7 +40,7 @@ from .certifier import (
     verify_theorem1,
 )
 from .downlink import classify_case
-from .effective import canonicalize
+from .effective import frame
 from .model import (
     CapacityTerms,
     InternalConsistencyError,
@@ -48,6 +48,7 @@ from .model import (
     ValidationError,
     _real,
     capacity_terms,
+    received_powers,
 )
 from .polytope import HalfspaceSystem, enumerate_vertices, maximal_vertices
 
@@ -304,23 +305,23 @@ def cmd_terms(args: argparse.Namespace) -> int:
 
 def cmd_vertices(args: argparse.Namespace) -> int:
     params = _load_channel(args.channel)
+    terms = capacity_terms(params)
     doc: dict
     if args.link == "outer":
-        system = outer_bound(capacity_terms(params))
+        system = outer_bound(terms)
         doc = {"link": "outer"}
     else:
-        eff = canonicalize(params)
-        terms = capacity_terms(eff.params)
+        perm, terms, _ = frame(terms, received_powers(params))
         if args.link == "uplink":
             system = uplink_polytope(terms)
-            doc = {"link": "uplink", "rateOrder": [1, 3], "perm": list(eff.perm)}
+            doc = {"link": "uplink", "rateOrder": [1, 3], "perm": list(perm)}
         else:
             case = classify_case(terms.sigma_bar2)
             system = downlink_polytope(case, terms)
             doc = {
                 "link": "downlink",
                 "rateOrder": [1, 3],
-                "perm": list(eff.perm),
+                "perm": list(perm),
                 "case": case.value,
             }
     doc["vertices"] = _vertices_doc(system)

@@ -717,17 +717,22 @@ _PROGRAMS = {scheme: _compile(message_plan(plan[0], scheme)) for scheme, plan in
 
 
 def downlink_certificate(params: SystemParams) -> List[GapCertificate]:
-    """Certify the half-bit gap at every downlink vertex of a canonical channel.
+    """`certify_downlink` on a canonical channel's own terms and budget."""
+    return certify_downlink(capacity_terms(params), params.PR)
 
-    Classifies the channel and runs each vertex's power recipe through its
+
+def certify_downlink(terms: CapacityTerms, PR: float) -> List[GapCertificate]:
+    """Certify the half-bit gap at every downlink vertex of a canonical frame,
+    given its terms and the relay's power budget.
+
+    Classifies the frame and runs each vertex's power recipe through its
     scheme's rate map; `bounds.link_certificates` judges each achieved tuple
     against its vertex and the case's deliverable region.
     """
-    terms = capacity_terms(params)
     case = classify_case(terms.sigma_bar2)
     entries = []
     for v in downlink_vertices(case, terms):
-        alloc, tag = _recipe(v.label, params.PR, terms.sigma_bar2)
+        alloc, tag = _recipe(v.label, PR, terms.sigma_bar2)
         powers = (alloc.pR1, alloc.pR2, alloc.pR3, alloc.pR4)
         achieved = RateTuple(scheme_map(alloc.scheme_id, powers, terms.sigma_bar2))
         entries.append((v.label, v.rates, achieved, tag))

@@ -212,7 +212,10 @@ def in_downward_hull(points: Sequence[Sequence[float]], target: Sequence[float])
     target's positive part by at most TIGHT_TOL summed over the four
     coordinates (the phase-1 LP's minimum artificial cost).
     """
-    rows = [_as_float4(p, ("points[{}]", k), _finite) for k, p in enumerate(points, 1)]
+    try:
+        rows = [_as_float4(p, ("points[{}]", k), _finite) for k, p in enumerate(points, 1)]
+    except TypeError:  # from `points` itself: a point's own check names that point
+        raise ValidationError(f"points must be a sequence of rate tuples, got {points!r}") from None
     pts = np.array(rows, dtype=float).reshape(-1, 4)
     t = np.array(_as_float4(target, "target", _finite))
     t = np.where(t > 0.0, t, 0.0)

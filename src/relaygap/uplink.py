@@ -87,7 +87,11 @@ def uplink_power_alloc(params: SystemParams) -> UplinkPowerAlloc:
         p10 = h2^2 P2 / 2      p11 = h1^2 P1 - h2^2 P2
         p30 = h4^2 P4 / 2      p31 = h3^2 P3 - h4^2 P4
     """
-    q = received_powers(params)
+    return power_alloc(received_powers(params))
+
+
+def power_alloc(q: Sequence[float]) -> UplinkPowerAlloc:
+    """`uplink_power_alloc` from a canonical frame's received powers ``q``."""
     for lead, trail in ((0, 1), (2, 3)):
         if not geq(q[lead], q[trail]):
             raise ValidationError(
@@ -248,19 +252,24 @@ def uplink_vertices(terms: CapacityTerms) -> List[UplinkVertex]:
 
 
 def uplink_certificate(params: SystemParams) -> List[GapCertificate]:
-    """Certify the half-bit gap at every uplink vertex of a canonical channel.
+    """`certify_uplink` on a canonical channel's own terms and powers."""
+    return certify_uplink(capacity_terms(params), received_powers(params), params.sigmaR2)
+
+
+def certify_uplink(terms: CapacityTerms, q: Sequence[float], sigmaR2: float) -> List[GapCertificate]:
+    """Certify the half-bit gap at every uplink vertex of a canonical frame,
+    given its terms, its received powers ``q`` and the relay noise.
 
     The relay runs each vertex's designated SIC order on the fixed power
     allocation (all six orders in one `sic_rates` pass);
     `bounds.link_certificates` judges each achieved tuple against its vertex
     and the uplink region.
     """
-    terms = capacity_terms(params)
-    alloc = uplink_power_alloc(params)
+    alloc = power_alloc(q)
     vertices = uplink_vertices(terms)
     achieved = sic_rates(
         alloc.p10, alloc.p11, alloc.p30, alloc.p31,
-        [_ORDERS[v.label] for v in vertices], params.sigmaR2,
+        [_ORDERS[v.label] for v in vertices], sigmaR2,
     )
     return link_certificates("uplink", uplink_polytope(terms), [
         (v.label, v.rates, UplinkSplitRates(*r).user_rates(), "")

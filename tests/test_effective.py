@@ -8,8 +8,9 @@ import oracles
 from relaygap.bounds import outer_bound
 from relaygap.certifier import ORDERINGS, random_channel
 from relaygap.downlink import DownlinkPowerAlloc, scheme_rates
-from relaygap.effective import EffectiveSystem, canonicalize
+from relaygap.effective import EffectiveSystem, canonicalize, frame
 from relaygap.model import (
+    PAIR_KEYS,
     RateTuple,
     SystemParams,
     ValidationError,
@@ -19,7 +20,7 @@ from relaygap.model import (
 )
 from relaygap.polytope import HalfspaceSystem, enumerate_vertices, maximal_vertices
 
-from conftest import unit_gain
+from conftest import channel_sets, unit_gain
 
 
 def ordered_params() -> SystemParams:
@@ -140,6 +141,44 @@ def test_zero_trailing_power_needs_no_rescale():
     params = unit_gain(P=(1.0, 0.0, 1.0, 1.0), sigma2=(2.0, 1.0, 4.0, 3.0))
     eff = canonicalize(params)
     assert eff.params.h == params.h
+
+
+# ---------------------------------------------------------------------------
+# frames read off the channel's own terms
+# ---------------------------------------------------------------------------
+
+
+def frame_channels():
+    """The seed-1729 default-box and seed-7 1e+-6 draws (300 each), the
+    targeted channels, a channel with a zero gain, a zero power and a +inf
+    noise, and one whose users all tie."""
+    sentinels = SystemParams(h=(1.0, 0.0, 2.0, 1.0), g=(0.0, 1.0, 1.0, 2.0), P=(1.0, 1.0, 0.0, 2.0),
+                             sigma2=(1.0, math.inf, 2.0, 1.0), sigmaR2=1.0, PR=2.0)
+    return [ch for chs in channel_sets(300).values() for ch in chs] + [sentinels, unit_gain()]
+
+
+def test_a_frame_reads_the_canonical_channels_terms_bit_for_bit():
+    # every frame number is the channel's own, gathered along the source maps:
+    # C and q by uplink source, D and sigma_bar2 by downlink source, and the
+    # cross-pair terms at the cross pair of two slots' uplink sources
+    kinds = {"swapped": 0, "uplink substituted": 0, "downlink substituted": 0}
+    for params in frame_channels():
+        terms, q = capacity_terms(params), received_powers(params)
+        for order in ORDERINGS:
+            eff = canonicalize(params, rate_order=order)
+            perm, got, got_q = frame(terms, q, order)
+            want = capacity_terms(eff.params)
+            assert perm == eff.perm
+            for a, b in ((got.C, want.C), (got.D, want.D), (got.sigma_bar2, want.sigma_bar2),
+                         (got_q, received_powers(eff.params)),
+                         ([got.Cpair[k] for k in PAIR_KEYS], [want.Cpair[k] for k in PAIR_KEYS])):
+                assert [x.hex() for x in a] == [x.hex() for x in b], (params, order)
+            assert list(got.Cpair) == list(want.Cpair)
+            kinds["swapped"] += eff.pair_swapped
+            kinds["uplink substituted"] += eff.params.h != tuple(params.h[u - 1] for u in perm)
+            kinds["downlink substituted"] += eff.params.g != tuple(params.g[u - 1] for u in perm)
+    # the set exercises every kind of step
+    assert all(kinds.values()), kinds
 
 
 # ---------------------------------------------------------------------------

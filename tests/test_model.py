@@ -307,11 +307,12 @@ _ONES = (1.0, 1.0, 1.0, 1.0)
         (lambda: DownlinkPowerAlloc("x", 0, 0, 0, "4.1"), "pR1"),
         (lambda: contains(outer_bound(capacity_terms(unit_gain())), "abcd"), r"point\[1\]"),
         (lambda: in_downward_hull([[1, 2, 3, 4], [1, 2]], [0, 0, 0, 0]), r"points\[2\]"),
+        (lambda: in_downward_hull(5, [1, 1, 1, 1]), "points"),
     ],
     ids=[
         "sigmaR2-None", "sigmaR2-list", "sigmaR2-str", "PR-huge-int", "UplinkPowerAlloc",
         "gaussian_rate", "lattice_rate", "uplink_achievable", "DownlinkPowerAlloc-None",
-        "DownlinkPowerAlloc-str", "contains", "in_downward_hull",
+        "DownlinkPowerAlloc-str", "contains", "in_downward_hull", "in_downward_hull-int",
     ],
 )
 def test_malformed_numbers_are_validation_errors_naming_the_argument(call, named):

@@ -70,7 +70,7 @@ from .model import (
     slack_of,
 )
 from .polytope import enumerate_vertices, in_downward_hull, maximal_vertices
-from .uplink import Step, certify_uplink, power_alloc, sic_rates, uplink_vertices
+from .uplink import Step, certify_uplink, power_alloc, sic_rates, uplink_vertices, user_rates
 
 #: the four in-pair leader choices a full certification sweeps
 ORDERINGS: Tuple[Tuple[int, int], ...] = ((1, 3), (1, 4), (2, 3), (2, 4))
@@ -99,11 +99,13 @@ class Theorem1Report:
     target is V itself, its achieved point is the largest scaled copy of
     ``T = (V - 1/2)^+`` lying in both links' achieved downward hulls, and it
     passes iff T itself does (slack then at most half a bit per user).
+    ``terms`` is the one `capacity_terms` result every frame was read off.
     """
 
     orderings: Tuple[OrderingReport, ...]
     combined: Tuple[GapCertificate, ...]
     passed: bool
+    terms: CapacityTerms
 
 
 def _in_hull(points: np.ndarray, target: np.ndarray) -> bool:
@@ -192,6 +194,7 @@ def verify_theorem1(params: SystemParams) -> Theorem1Report:
         orderings=tuple(ordering_reports),
         combined=tuple(combined),
         passed=all(c.passed for c in (*links, *combined)),
+        terms=terms,
     )
 
 
@@ -498,8 +501,7 @@ def _uplink_oracle(terms: CapacityTerms, q, sigmaR2: float, n: int) -> Dict[str,
     point = [np.array([s]) for s in (seed.p10, seed.p11, seed.p30, seed.p31)]
 
     def rates(*powers):
-        for r10, r11, r30, r31 in sic_rates(*powers, _ALL_ORDERS, sigmaR2):
-            yield r10 + r11, r10, r30 + r31, r30
+        return (user_rates(*split) for split in sic_rates(*powers, _ALL_ORDERS, sigmaR2))
 
     best: Dict[str, Tuple[float, RateTuple]] = {}
     _keep_best(best, uplink_vertices(terms), _ORDER_NAMES, [(rates, (p10, p11, p30, p31)), (rates, point)])

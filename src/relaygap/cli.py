@@ -121,23 +121,17 @@ def _render(node, pad: str = "") -> str:
 # ---------------------------------------------------------------------------
 
 
-class _Number(str):
-    """A JSON number literal, or one of the NaN / Infinity constants json.loads
-    admits, kept as its text until `_coerce_number` knows its field."""
-
-    __repr__ = str.__str__  # an error message quotes it as the file wrote it
-
-
 def _coerce_number(value, field: str) -> float:
     """The one number rule of a channel file: a number must be finite, and the
-    string "inf" is the only way to write +inf (the unreachable-user noise)."""
+    string "inf" is the only way to write +inf (the unreachable-user noise).
+    `_load_channel` hands over every JSON number as the float json makes."""
     if isinstance(value, bool):
         raise ValidationError(f"field {field!r} must be a number, got a boolean")
     if value == "inf":
         return math.inf
-    if not isinstance(value, (_Number, int, float)):
+    if not isinstance(value, (int, float)):
         raise ValidationError(f'field {field!r} must be a number or "inf", got {value!r}')
-    x = _real(value, f"field {field!r}")  # text rounds as the int or float it spells would
+    x = _real(value, f"field {field!r}")
     if math.isinf(x):
         raise ValidationError(f"field {field!r} is too large for a float; numbers must be finite")
     return x
@@ -173,11 +167,8 @@ def _load_channel(path: str) -> SystemParams:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        obj = json.loads(
-            text, parse_float=_Number, parse_constant=_Number,
-            # an integer has no signed zero: "-0" reads as 0, as int() reads it
-            parse_int=lambda s: _Number("0" if s == "-0" else s),
-        )
+        # an integer reads as its float, past the int-digit limit too, and "-0" as 0
+        obj = json.loads(text, parse_int=lambda s: float(s) + 0.0)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"channel file is not valid JSON: {exc}") from exc
     except OSError as exc:  # an unreadable file is bad input, in the OS's words
@@ -306,24 +297,18 @@ def cmd_terms(args: argparse.Namespace) -> int:
 def cmd_vertices(args: argparse.Namespace) -> int:
     params = _load_channel(args.channel)
     terms = capacity_terms(params)
-    doc: dict
+    doc: dict = {"link": args.link}
     if args.link == "outer":
         system = outer_bound(terms)
-        doc = {"link": "outer"}
     else:
         perm, terms, _ = frame(terms, received_powers(params))
+        doc.update(rateOrder=[1, 3], perm=list(perm))
         if args.link == "uplink":
             system = uplink_polytope(terms)
-            doc = {"link": "uplink", "rateOrder": [1, 3], "perm": list(perm)}
         else:
             case = classify_case(terms.sigma_bar2)
             system = downlink_polytope(case, terms)
-            doc = {
-                "link": "downlink",
-                "rateOrder": [1, 3],
-                "perm": list(perm),
-                "case": case.value,
-            }
+            doc["case"] = case.value
     doc["vertices"] = _vertices_doc(system)
     print(_render(doc))
     return 0
@@ -378,10 +363,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     writer.writerow(header)
     for value in values:
         swept = dataclasses.replace(params, **{args.param: value})
-        terms = capacity_terms(swept)
         report = verify_theorem1(swept)
         prefix = [args.param, _jnum(value)]  # a sweep value is finite
-        mids = _csv4(terms.C, terms.D)
+        mids = _csv4(report.terms.C, report.terms.D)
         writer.writerows(prefix + row for row in _cert_csv_rows(report, mids))
     return 0
 

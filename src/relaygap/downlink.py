@@ -45,6 +45,7 @@ from .model import (
     _real,
     as_case,
     capacity_terms,
+    effective_noises,
     gaussian_layer,
     geq,
     nonneg,
@@ -229,9 +230,9 @@ def alloc_for_vertex(
     case = as_case(case)
     if case_of_label(label) is not case:
         raise ValidationError(f"vertex {label} does not belong to case {case.value}")
-    terms = capacity_terms(params)
-    require_noise_order(terms.sigma_bar2, case.value)
-    return _recipe(label, params.PR, terms.sigma_bar2)
+    sigma_bar2 = effective_noises(params)
+    require_noise_order(sigma_bar2, case.value)
+    return _recipe(label, params.PR, sigma_bar2)
 
 
 def _recipe(

@@ -33,6 +33,12 @@ TIGHT_TOL = 1e-9
 GAP_TOL = 1e-7
 #: L-infinity radius below which two vertices are considered duplicates
 DEDUP_TOL = 1e-8
+#: relative determinant cutoff below which a 4-row subset is treated as singular
+SINGULAR_REL_TOL = 1e-12
+#: reduced-cost / pivot threshold inside the phase-1 simplex
+PIVOT_TOL = 1e-11
+#: slack within which two simplex ratio-test rows count as tied
+RATIO_TIE_TOL = 1e-15
 
 HALF_BIT = 0.5
 

@@ -19,6 +19,9 @@ import numpy as np
 
 from .model import (
     DEDUP_TOL,
+    PIVOT_TOL,
+    RATIO_TIE_TOL,
+    SINGULAR_REL_TOL,
     TIGHT_TOL,
     InternalConsistencyError,
     RateTuple,
@@ -29,10 +32,6 @@ from .model import (
 
 Row = Tuple[Tuple[float, float, float, float], float]
 
-# relative determinant cutoff below which a 4-row subset is treated as singular
-_SINGULAR_REL_TOL = 1e-12
-# reduced-cost / pivot threshold inside the simplex
-_PIVOT_TOL = 1e-11
 _MAX_SIMPLEX_ITERS = 10_000
 #: the rows -R_i <= 0 every system ends with
 _NONNEG_ROWS = (0.0 - np.eye(4)).tolist()
@@ -60,7 +59,7 @@ class RowPattern:
         combos = combos.reshape(-1, 4)
         # singular relative to the product of the subset's row inf-norms
         scale = np.maximum(np.abs(A).max(axis=1)[combos].prod(axis=1), 1.0)
-        self.subsets = combos[np.abs(np.linalg.det(A[combos])) > _SINGULAR_REL_TOL * scale]
+        self.subsets = combos[np.abs(np.linalg.det(A[combos])) > SINGULAR_REL_TOL * scale]
         self.sub_A = A[self.subsets]
         self.coeffs = tuple(map(tuple, A.tolist()))
         A.flags.writeable = False
@@ -243,14 +242,14 @@ def _phase1_feasible(A: np.ndarray, b: np.ndarray) -> bool:
 
     for _ in range(_MAX_SIMPLEX_ITERS):
         reduced = cost - cost[basis] @ tab[:, :-1]
-        negative = np.flatnonzero(reduced < -_PIVOT_TOL)
+        negative = np.flatnonzero(reduced < -PIVOT_TOL)
         if negative.size == 0:
             break
         entering = negative[0]  # Bland: lowest index with negative reduced cost
 
         ratios = np.full(m, np.inf)
         col = tab[:, entering]
-        positive = col > _PIVOT_TOL
+        positive = col > PIVOT_TOL
         ratios[positive] = tab[positive, -1] / col[positive]
         best = ratios.min()
         if not np.isfinite(best):
@@ -258,7 +257,7 @@ def _phase1_feasible(A: np.ndarray, b: np.ndarray) -> bool:
             # here means numerical trouble, not a real certificate
             raise InternalConsistencyError("phase-1 simplex met an unbounded column")
         # Bland: among tied rows pick the one with the smallest basis variable
-        tied = np.flatnonzero(positive & (ratios <= best + 1e-15))
+        tied = np.flatnonzero(positive & (ratios <= best + RATIO_TIE_TOL))
         leaving = tied[np.argmin(basis[tied])]
 
         # eliminate the entering column from every row, then restore the pivot row

@@ -13,7 +13,7 @@ four resulting signal groups off in a fixed order per target vertex:
 * ``LB`` — pair B's lattice pair (two codewords of power p30 each).
 
 An undecoded lattice pair contributes twice its per-codeword power as
-interference.
+interference.  `user_rates` alone composes a split's per-user rates.
 """
 
 from __future__ import annotations
@@ -120,6 +120,12 @@ def decoding_order(label: str) -> Tuple[Step, Step, Step, Step]:
         raise ValidationError(f"unknown uplink vertex label {label!r}") from None
 
 
+def user_rates(r10, r11, r30, r31):
+    """Per-user rates of a rate split, elementwise: a leader gets its paired
+    plus its private rate, a trailer its paired rate."""
+    return r10 + r11, r10, r30 + r31, r30
+
+
 @dataclass(frozen=True)
 class UplinkSplitRates:
     """Rates of the four uplink constituents after one SIC pass."""
@@ -130,8 +136,8 @@ class UplinkSplitRates:
     r31: float
 
     def user_rates(self) -> RateTuple:
-        """Compose per-user exchange rates: leaders get paired + private."""
-        return RateTuple((self.r10 + self.r11, self.r10, self.r30 + self.r31, self.r30))
+        """The per-user exchange rates (`user_rates`) as a RateTuple."""
+        return RateTuple(user_rates(self.r10, self.r11, self.r30, self.r31))
 
 
 @functools.lru_cache(maxsize=64)
@@ -261,9 +267,9 @@ def certify_uplink(terms: CapacityTerms, q: Sequence[float], sigmaR2: float) -> 
     given its terms, its received powers ``q`` and the relay noise.
 
     The relay runs each vertex's designated SIC order on the fixed power
-    allocation (all six orders in one `sic_rates` pass);
-    `bounds.link_certificates` judges each achieved tuple against its vertex
-    and the uplink region.
+    allocation (all six orders in one `sic_rates` pass), and `user_rates`
+    composes each split into per-user rates; `bounds.link_certificates`
+    judges each achieved tuple against its vertex and the uplink region.
     """
     alloc = power_alloc(q)
     vertices = uplink_vertices(terms)
@@ -272,6 +278,6 @@ def certify_uplink(terms: CapacityTerms, q: Sequence[float], sigmaR2: float) -> 
         [_ORDERS[v.label] for v in vertices], sigmaR2,
     )
     return link_certificates("uplink", uplink_polytope(terms), [
-        (v.label, v.rates, UplinkSplitRates(*r).user_rates(), "")
+        (v.label, v.rates, RateTuple(user_rates(*r)), "")
         for v, r in zip(vertices, achieved)
     ])

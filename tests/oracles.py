@@ -29,6 +29,7 @@ from relaygap.downlink import (
 from relaygap.effective import canonicalize
 from relaygap.model import (
     DEDUP_TOL,
+    SINGULAR_REL_TOL,
     TIGHT_TOL,
     InternalConsistencyError,
     RateTuple,
@@ -37,7 +38,7 @@ from relaygap.model import (
     lattice_layer,
     received_powers,
 )
-from relaygap.polytope import _SINGULAR_REL_TOL, VertexSet
+from relaygap.polytope import VertexSet
 from relaygap.uplink import (
     Step,
     decoding_order,
@@ -533,7 +534,7 @@ def reference_enumerate_vertices(system) -> VertexSet:
     dets = np.linalg.det(sub_A)
     # relative to the product of the subset's row inf-norms
     scale = np.maximum(np.abs(A).max(axis=1)[combos].prod(axis=1), 1.0)
-    nonsingular = np.abs(dets) > _SINGULAR_REL_TOL * scale
+    nonsingular = np.abs(dets) > SINGULAR_REL_TOL * scale
 
     sols = np.linalg.solve(sub_A[nonsingular], sub_b[nonsingular][..., None])[..., 0]  # (K', 4)
     feas = (A @ sols.T <= b[:, None] + TIGHT_TOL).all(axis=0)

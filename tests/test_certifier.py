@@ -33,7 +33,7 @@ from relaygap.model import (
     capacity_terms,
 )
 from relaygap.polytope import enumerate_vertices, in_downward_hull, maximal_vertices
-from relaygap.uplink import uplink_vertices
+from relaygap.uplink import UplinkSplitRates, uplink_vertices
 
 import oracles
 from conftest import unit_gain
@@ -344,6 +344,25 @@ def test_verification_computes_the_terms_once_and_builds_no_parameter_record(mon
         calls.clear()
         assert verify_theorem1(params).passed
         assert calls == {"capacity_terms": 1}
+
+
+def test_verification_builds_no_uplink_split_record(monkeypatch):
+    # certify_uplink composes each vertex's split through uplink.user_rates;
+    # the report hands back the one set of terms it was read off
+    built = []
+    real_init = UplinkSplitRates.__init__
+
+    def counted_init(self, *args):
+        built.append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(UplinkSplitRates, "__init__", counted_init)
+    params = strong_channel()
+    report = verify_theorem1(params)
+    assert built == []
+    assert report.terms == capacity_terms(params)
+    UplinkSplitRates(0.0, 0.0, 0.0, 0.0)  # the counter sees a record when one is built
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -723,6 +742,11 @@ MERGE_CHANNEL = dict(
     sigma2=(446309648972.28094, 2.98466023167697e-07, 6.054260449912947e-26, 8.296309395509061),
     sigmaR2=9.09718951780902e+25, PR=1.576240359630718e+19,
 )
+#: a Hypothesis draw of test_model's wide_channel strategy (ties and a 1e8 power)
+MERGE_CHANNEL_TIES = dict(
+    h=(1.0, 1e-4, 100.0, 10.0 ** -2.75), g=(1.0, 1.0, 1.0, 1.0),
+    P=(10.0 ** -6.5, 10.0, 1.0, 1e8), sigma2=(1.0, 1.0, 1.0, 1.0), sigmaR2=10.0, PR=1000.0,
+)
 
 
 def _downlink_certificate(channel, order, label):
@@ -762,6 +786,16 @@ def test_wide_draw_95_certifies_without_overflow():
     "which then reads uplink_hull=out; the fix removes this mark"))
 def test_outer_vertex_o1_of_the_merge_channel_lies_in_both_hulls():
     report = verify_theorem1(SystemParams(**MERGE_CHANNEL))
+    (o1,) = [c for c in report.combined if c.vertex_label == "O1"]
+    assert o1.subcase == "uplink_hull=in,downlink_hull=in"
+    assert report.passed
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 3, defect 2: the merge keeps a copy of O1 = (0, 0, C3, Cpair(1, 4)) lying "
+    "4.8e-10 past C3, which then reads uplink_hull=out; the fix removes this mark"))
+def test_outer_vertex_o1_of_the_merge_channel_with_ties_lies_in_both_hulls():
+    report = verify_theorem1(SystemParams(**MERGE_CHANNEL_TIES))
     (o1,) = [c for c in report.combined if c.vertex_label == "O1"]
     assert o1.subcase == "uplink_hull=in,downlink_hull=in"
     assert report.passed

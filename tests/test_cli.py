@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import relaygap.certifier as certifier
 import relaygap.cli as cli
 from relaygap.certifier import random_channel, targeted_channels, verify_theorem1
 from relaygap.cli import _csv4, _jnum, _jnum4, _render, main, parse_channel
@@ -205,6 +206,24 @@ def test_invalid_json_is_a_clean_error(tmp_path, capsys):
             assert out == ""
 
 
+def test_an_integer_minus_zero_reads_as_zero_and_a_float_one_keeps_its_sign(tmp_path, capsys):
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(channel_obj()).replace('"P": [1, 1, 1, 1]', '"P": [1, -0, 1, -0.0]'))
+    code, out, _ = run_main(capsys, "certify", str(path))
+    assert code == 0
+    assert '\n    "P": [1, 0, 1, -0],\n' in out
+
+
+@pytest.mark.parametrize("nested, quoted", [("[1]", "[1.0]"), ("[1e5]", "[100000.0]"),
+                                            ("[-0, 2.5]", "[0.0, 2.5]")])
+def test_a_number_inside_a_non_number_is_quoted_as_its_float(tmp_path, capsys, nested, quoted):
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(channel_obj()).replace('"h": [1, 1, 1, 1]', f'"h": [{nested}, 1, 1, 1]'))
+    code, out, err = run_main(capsys, "terms", str(path))
+    assert (code, out) == (2, "")
+    assert "field 'h[1]' must be a number or \"inf\", got " + quoted in err
+
+
 def test_missing_field_names_the_field(tmp_path, capsys):
     obj = channel_obj()
     del obj["PR"]
@@ -311,6 +330,22 @@ def test_failed_certificate_exits_one(monkeypatch, capsys):
     code, out, _ = run_main(capsys, "certify", str(UNIT_CHANNEL))
     assert code == 1
     assert json.loads(out)["pass"] is False
+
+
+def test_an_ensemble_with_one_failing_draw_fails(monkeypatch, capsys):
+    real, calls = certifier.verify_theorem1, []
+
+    def second_draw_fails(params):
+        calls.append(params)
+        return dataclasses.replace(real(params), passed=len(calls) != 2)
+
+    monkeypatch.setattr(certifier, "verify_theorem1", second_draw_fails)
+    report = certifier.monte_carlo(certifier.MonteCarloConfig(trials=3, seed=42))
+    assert (report.failures, report.passed) == (1, False)
+    calls.clear()
+    code, out, _ = run_main(capsys, "certify", "--random", "3", "42")
+    assert code == 1
+    assert '"failures": 1,' in out
 
 
 def test_internal_fault_exits_three(monkeypatch, capsys):
@@ -474,6 +509,24 @@ def test_sweep_csv_layout(capsys):
     d1 = [float(by_value[v][0][10]) for v in values]
     assert d1 == sorted(d1)
     assert all(r[-1] == "true" for r in rows)
+
+
+def test_sweep_computes_each_points_terms_once(monkeypatch, capsys):
+    # the C and D columns are the terms the point's report was read off
+    calls = []
+    real = capacity_terms
+
+    def counted(params):
+        calls.append(params)
+        return real(params)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("relaygap") and getattr(module, "capacity_terms", None) is real:
+            monkeypatch.setattr(module, "capacity_terms", counted)
+    code, _, _ = run_main(capsys, "sweep", str(UNIT_CHANNEL), "--param", "PR", "--from", "0",
+                          "--to", "4", "--steps", "5")
+    assert code == 0
+    assert [p.PR for p in calls] == [0.0, 1.0, 2.0, 3.0, 4.0]
 
 
 def test_single_step_sweep_uses_the_start_value(capsys):

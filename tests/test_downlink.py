@@ -16,6 +16,7 @@ from relaygap.downlink import (
     SCHEME_IDS,
     SCHEME_LAYERS,
     SIC_REMOVE,
+    SKIP_KNOWN,
     SUBCASE_TAGS,
     CaseLabel,
     DecodeStep,
@@ -833,6 +834,47 @@ def test_plan_validation_rejects_uncovered_messages():
             scripts=(script, script, script, script),
             rate_relations=(),
         )
+
+
+_PLAN_41 = message_plan(CaseLabel.I, "4.1")
+_XR1, _XR2 = _PLAN_41.codewords  # xR1 carries (mB, m31), xR2 (mA, m11)
+_READ_XR1 = (DecodeStep(DECODE_SELF, "xR1"),)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(codewords=(_XR1, dataclasses.replace(_XR2, name="xR1"))),
+         "duplicate codeword names"),
+        (dict(codewords=(_XR1, dataclasses.replace(_XR2, messages=("mA", "m11", "mB")))),
+         "message packed into two codewords"),
+        (dict(codewords=(_XR1, dataclasses.replace(_XR2, messages=("mA", "m11", "mX")))),
+         "unknown message 'mX'"),
+        (dict(scripts=_PLAN_41.scripts[:3]), "exactly four user scripts"),
+        (dict(scripts=((DecodeStep("guess", "xR1"),), *_PLAN_41.scripts[1:])),
+         "unknown step action 'guess'"),
+        (dict(scripts=((DecodeStep(DECODE_SELF, "xR9"),), *_PLAN_41.scripts[1:])),
+         "unknown codeword 'xR9'"),
+        # user 1 owns m11 only, and xR1 carries pair B's messages
+        (dict(scripts=((DecodeStep(SKIP_KNOWN, "xR1"),), *_PLAN_41.scripts[1:])),
+         "user 1 cannot pre-cancel xR1"),
+        (dict(scripts=(_READ_XR1, *_PLAN_41.scripts[1:])), "user 1's script never reaches mA"),
+    ],
+    ids=["duplicate-name", "packed-twice", "unknown-message", "three-scripts",
+         "unknown-action", "unknown-codeword", "skip-not-owned", "never-reaches"],
+)
+def test_plan_validation_rejects_malformed_plans(change, message):
+    with pytest.raises(ValidationError, match=message):
+        dataclasses.replace(_PLAN_41, **change)
+
+
+def test_an_overspending_recipe_is_an_internal_fault_naming_label_and_branch(monkeypatch):
+    target, _, branches = downlink._VERTICES["D1.2"]
+    overspend = lambda PR, s1, s2, s3, s4: ((PR, PR, 0.0, 0.0), 1)  # noqa: E731
+    monkeypatch.setitem(downlink._VERTICES, "D1.2", (target, overspend, branches))
+    with pytest.raises(InternalConsistencyError,
+                       match=r"^recipe for D1\.2 \(PR<sbar4\) overspends the budget"):
+        alloc_for_vertex(CaseLabel.I, "D1.2", case_params(CASE1_NOISES, PR=1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from relaygap.bounds import outer_bound
-from relaygap.certifier import verify_theorem1
+from relaygap.certifier import random_channel, verify_theorem1
 from relaygap.downlink import DownlinkPowerAlloc, classify_case
 from relaygap.model import (
     PAIR_KEYS,
@@ -308,11 +308,14 @@ _ONES = (1.0, 1.0, 1.0, 1.0)
         (lambda: contains(outer_bound(capacity_terms(unit_gain())), "abcd"), r"point\[1\]"),
         (lambda: in_downward_hull([[1, 2, 3, 4], [1, 2]], [0, 0, 0, 0]), r"points\[2\]"),
         (lambda: in_downward_hull(5, [1, 1, 1, 1]), "points"),
+        (lambda: SystemParams(5, _ONES, _ONES, _ONES, 1.0, 1.0), "h"),
+        (lambda: random_channel(0, gain_range=5), "gain_range"),
     ],
     ids=[
         "sigmaR2-None", "sigmaR2-list", "sigmaR2-str", "PR-huge-int", "UplinkPowerAlloc",
         "gaussian_rate", "lattice_rate", "uplink_achievable", "DownlinkPowerAlloc-None",
         "DownlinkPowerAlloc-str", "contains", "in_downward_hull", "in_downward_hull-int",
+        "as_float4-int", "check_range-int",
     ],
 )
 def test_malformed_numbers_are_validation_errors_naming_the_argument(call, named):

@@ -361,6 +361,18 @@ def test_a_target_past_every_points_second_coordinate_is_outside_the_hull(target
     assert in_downward_hull(pts, target) is False
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3, defect 1 (false 'in'), as drawn by the grid-search Hypothesis test "
+    "below; the fix removes this mark",
+)
+def test_a_target_past_every_points_first_coordinate_is_outside_the_hull():
+    # no point's first coordinate exceeds 0.5, so no convex combination reaches 1
+    pts = [(0.5, 0.0, 0.8621842091279206, 0.0), (0.0, 1.0, 0.93359375, 0.0),
+           (0.0, 1.192092896e-07, 0.0, 0.005859375)]
+    assert in_downward_hull(pts, (1.0, 0.0, 0.0, 0.0)) is False
+
+
 point4 = st.tuples(*[st.floats(min_value=0.0, max_value=2.0) for _ in range(4)])
 
 
